@@ -2,11 +2,12 @@
 
 Subcommands: check-minor, check-lcolor, check-choosable, build-h,
 build-counterexample, bounds, experiment.  Exit codes: the check-* commands
-answer through the code (0 yes / 1 no / 2 budget or cap), anything above 2
-is usage or IO.  Reports embed a format_version and the full run
-configuration; execution-resource knobs (--threads, --deterministic) stay
-outside the echoed configuration so reports are byte-identical across
-thread counts.
+answer through the code (0 yes / 1 no / 2 budget or cap), 3 is usage or IO,
+and 4 is an internal error (any other exception, such as a RecursionError),
+reported in one stderr line that names it; a crash is never an answer.
+Reports embed a format_version and the full run configuration;
+execution-resource knobs (--threads, --deterministic) stay outside the
+echoed configuration so reports are byte-identical across thread counts.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_LIMIT = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 def _fraction(text: str) -> Fraction:
@@ -102,10 +104,11 @@ def _cmd_check_minor(args) -> int:
     payload = {
         "status": res.status.value,
         "nodes_expanded": res.nodes_expanded,
+        "atoms_searched": res.atoms_searched,
         "model": res.model.to_json_dict() if res.model else None,
     }
     lines = [f"check-minor K_{{{q.s},{q.t}}}: {res.status.value} "
-             f"({res.nodes_expanded} nodes)"]
+             f"({res.nodes_expanded} nodes, {res.atoms_searched} atoms searched)"]
     if res.model:
         lines.append(json.dumps(res.model.to_json_dict(), sort_keys=True))
     _emit(args, payload, lines)
@@ -118,13 +121,14 @@ def _cmd_check_lcolor(args) -> int:
     g = _load_graph(args.graph)
     lists = _load_lists(args.lists)
     coloring = lc.find_l_coloring(g, lists)
-    payload = {"colorable": coloring is not None,
-               "coloring": list(coloring) if coloring else None}
-    lines = [f"check-lcolor: {'colorable' if coloring else 'no list coloring'}"]
-    if coloring:
+    colorable = coloring is not None
+    payload = {"colorable": colorable,
+               "coloring": list(coloring) if colorable else None}
+    lines = [f"check-lcolor: {'colorable' if colorable else 'no list coloring'}"]
+    if colorable:
         lines.append(" ".join(str(c) for c in coloring))
     _emit(args, payload, lines)
-    return EXIT_YES if coloring is not None else EXIT_NO
+    return EXIT_YES if colorable else EXIT_NO
 
 
 def _cmd_check_choosable(args) -> int:
@@ -207,7 +211,7 @@ def _cmd_build_counterexample(args) -> int:
         "graph": gr.to_json_dict(asm.graph),
         "lists": asm.lists.to_json_dict(),
         "verification": {
-            "list_coloring_found": coloring is not None and list(coloring) or None,
+            "list_coloring_found": list(coloring) if coloring is not None else None,
             "pigeonhole": pigeonhole,
         } if args.verify else None,
     }
@@ -405,6 +409,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, gr.GraphFormatError) as exc:
         print(f"kstlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # Any other failure is a fault, not a verdict: keep it off the
+        # answer codes 0-2.
+        print(f"kstlab: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

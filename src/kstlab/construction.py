@@ -525,11 +525,6 @@ class CounterexampleAssembly:
         except ValueError:
             raise KeyError(f"no copy for B-coloring {c}") from None
 
-    def copy_vertices(self, i: int) -> tuple[int, ...]:
-        """Vertex ids of copy i in the glued graph: shared B, then its A."""
-        start, stop = self.a_ranges[i]
-        return tuple(range(len(self.base_b))) + tuple(range(start, stop))
-
     def copy_correspondence(self, i: int) -> dict[int, int]:
         """base-graph vertex id -> glued-graph vertex id for copy i."""
         start, _ = self.a_ranges[i]

@@ -49,6 +49,25 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
+def closure(adj, seed: int, allowed: int) -> int:
+    """Vertices reachable from ``seed`` through vertices of ``allowed``.
+
+    Breadth-first search over bitset rows ``adj``; ``seed`` should lie inside
+    ``allowed``.  ``closure(adj, low, m) == m`` for the lowest bit ``low`` of
+    a non-empty ``m`` says that ``m`` induces a connected subgraph.
+    """
+    reach = frontier = seed
+    while frontier:
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            nxt |= adj[b.bit_length() - 1]
+            frontier ^= b
+        frontier = nxt & allowed & ~reach
+        reach |= frontier
+    return reach
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite simple graph: no loops, no parallel edges, undirected."""

@@ -10,14 +10,13 @@ on small hosts.  Witnesses are always re-verified before being returned.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .graph import Graph, bits, mask_of
+from .graph import Graph, bits, closure, mask_of
 
 
 @dataclass(frozen=True)
@@ -63,25 +62,14 @@ class SearchStatus(Enum):
 
 @dataclass(frozen=True)
 class MinorSearch:
+    """Outcome of a search.  ``nodes_expanded`` is summed over the atoms
+    searched; ``atoms_searched`` counts the atoms that reached the
+    backtracking core (atoms too small to hold the minor are skipped)."""
+
     status: SearchStatus
     model: BranchModel | None
     nodes_expanded: int
-
-
-def _connected_mask(adj, mask: int) -> bool:
-    if mask == 0:
-        return False
-    start = mask & -mask
-    reach = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
-        nxt &= mask & ~reach
-        reach |= nxt
-        frontier = nxt
-    return reach == mask
+    atoms_searched: int
 
 
 def model_violation(g: Graph, model: BranchModel, q: MinorQuery) -> str | None:
@@ -105,7 +93,7 @@ def model_violation(g: Graph, model: BranchModel, q: MinorQuery) -> str | None:
             return f"branch set {i} overlaps an earlier set"
         seen |= m
     for i, m in enumerate(masks):
-        if not _connected_mask(g.adj, m):
+        if closure(g.adj, m & -m, m) != m:
             return f"branch set {i} is not connected in the host"
     for i in range(q.s):
         nbr = 0
@@ -125,8 +113,9 @@ class _BudgetHit(Exception):
     pass
 
 
-def find_kst_minor(g: Graph, q: MinorQuery, budget: int | None = None) -> MinorSearch:
-    """Exact search for a K_{s,t} branch model in ``g``.
+def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSearch:
+    """Exact search for a K_{s,t} branch model in the subgraph of ``g``
+    induced by the vertex mask ``within``.
 
     Backtracks over assignments of vertices to one of the s + t branch sets
     or to an unused pool.  Vertices are chosen dynamically (fewest feasible
@@ -134,32 +123,16 @@ def find_kst_minor(g: Graph, q: MinorQuery, budget: int | None = None) -> MinorS
     side, which breaks the set-relabeling symmetry.  All prunes are sound, so
     NOT_FOUND is an exhaustiveness certificate.  ``budget`` caps node
     expansions; exceeding it yields BUDGET_EXHAUSTED.  Deterministic: equal
-    inputs explore the identical tree.
+    inputs explore the identical tree.  The model it returns is not yet
+    verified; ``find_kst_minor`` checks it on the host.
     """
     s, t = q.s, q.t
     k = s + t
-    n = g.n
-    if n < k or g.edge_count() < s * t:
-        return MinorSearch(SearchStatus.NOT_FOUND, None, 0)
-
     adj = g.adj
-    full = (1 << n) - 1
     cmask = [0] * k        # vertices committed to each branch set
     cnbr = [0] * k         # union of host neighbourhoods over each set
     nodes = 0
     out_model: list[BranchModel] = []
-
-    def closure(seed: int, allowed: int) -> int:
-        reach = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v]
-            nxt &= allowed & ~reach
-            reach |= nxt
-            frontier = nxt
-        return reach
 
     def dfs(und: int) -> bool:
         nonlocal nodes
@@ -178,7 +151,7 @@ def find_kst_minor(g: Graph, q: MinorQuery, budget: int | None = None) -> MinorS
                         break
                 if not ok:
                     break
-            if ok and all(_connected_mask(adj, cm) for cm in cmask):
+            if ok and all(closure(adj, cm & -cm, cm) == cm for cm in cmask):
                 side1 = sorted((frozenset(bits(cm)) for cm in cmask[:s]), key=min)
                 side2 = sorted((frozenset(bits(cm)) for cm in cmask[s:]), key=min)
                 out_model.append(BranchModel(tuple(side1), tuple(side2), g))
@@ -198,7 +171,7 @@ def find_kst_minor(g: Graph, q: MinorQuery, budget: int | None = None) -> MinorS
         for c in range(k):
             cm = cmask[c]
             if cm:
-                r = closure(cm & -cm, cm | und)
+                r = closure(adj, cm & -cm, cm | und)
                 if cm & ~r:
                     return False
                 reach[c] = r
@@ -256,15 +229,169 @@ def find_kst_minor(g: Graph, q: MinorQuery, budget: int | None = None) -> MinorS
         return dfs(nxt_und)
 
     try:
-        found = dfs(full)
+        found = dfs(within)
     except _BudgetHit:
-        return MinorSearch(SearchStatus.BUDGET_EXHAUSTED, None, nodes)
+        return MinorSearch(SearchStatus.BUDGET_EXHAUSTED, None, nodes, 1)
     if not found:
-        return MinorSearch(SearchStatus.NOT_FOUND, None, nodes)
-    model = out_model[0]
-    bad = model_violation(g, model, q)
-    assert bad is None, f"search produced an invalid model: {bad}"
-    return MinorSearch(SearchStatus.FOUND, model, nodes)
+        return MinorSearch(SearchStatus.NOT_FOUND, None, nodes, 1)
+    return MinorSearch(SearchStatus.FOUND, out_model[0], nodes, 1)
+
+
+# --- decomposition along small clique separators -------------------------
+
+
+def _components(adj, mask: int) -> list[int]:
+    out = []
+    while mask:
+        comp = closure(adj, mask & -mask, mask)
+        out.append(comp)
+        mask &= ~comp
+    return out
+
+
+def _blocks(adj, n: int) -> list[int]:
+    """Blocks (maximal 2-connected subgraphs, bridges and isolated vertices)
+    as vertex masks: Hopcroft-Tarjan with an explicit stack, so depth is not
+    bounded by the interpreter's recursion limit."""
+    disc = [-1] * n
+    low = [0] * n
+    rest = list(adj)        # neighbours not yet scanned from each vertex
+    blocks = []
+    clock = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        if not adj[root]:
+            blocks.append(1 << root)
+            continue
+        path = [root]       # DFS tree path
+        pending = [root]    # visited vertices not yet assigned to a block
+        while path:
+            v = path[-1]
+            r = rest[v]
+            if r:
+                b = r & -r
+                rest[v] = r ^ b
+                w = b.bit_length() - 1
+                if disc[w] < 0:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    path.append(w)
+                    pending.append(w)
+                elif disc[w] < low[v]:
+                    low[v] = disc[w]
+                continue
+            path.pop()
+            if not path:
+                break
+            u = path[-1]
+            if low[v] < low[u]:
+                low[u] = low[v]
+            if low[v] >= disc[u]:
+                # u separates the subtree of v: pop it as one block with u.
+                m = 1 << u
+                while True:
+                    x = pending.pop()
+                    m |= 1 << x
+                    if x == v:
+                        break
+                blocks.append(m)
+    return blocks
+
+
+def _split_at_edges(adj, block: int) -> list[int]:
+    """Split a 2-connected vertex set along edges {u, v} whose removal
+    disconnects it, until no such edge is left.  Each piece keeps u and v,
+    so it is again 2-connected and can be split further."""
+    out = []
+    todo = [block]
+    while todo:
+        m = todo.pop()
+        pair = _separating_edge(adj, m)
+        if pair:
+            todo += [c | pair for c in _components(adj, m & ~pair)]
+        else:
+            out.append(m)
+    return out
+
+
+def _separating_edge(adj, m: int) -> int:
+    """The first edge {u, v} (as a mask) inside ``m`` whose removal leaves
+    ``m`` disconnected, or 0."""
+    for u in bits(m):
+        for v in bits(adj[u] & m & ~((2 << u) - 1)):
+            pair = (1 << u) | (1 << v)
+            rest = m & ~pair
+            if rest and closure(adj, rest & -rest, rest) != rest:
+                return pair
+    return 0
+
+
+def _atom_masks(adj, n: int, s: int) -> list[int]:
+    if s == 1:
+        atoms = _components(adj, (1 << n) - 1)
+    else:
+        atoms = _blocks(adj, n)
+        if s >= 3:
+            atoms = [a for b in atoms for a in _split_at_edges(adj, b)]
+    return sorted(atoms, key=lambda m: (m.bit_count(), m & -m))
+
+
+def kst_atoms(g: Graph, s: int) -> list[tuple[int, ...]]:
+    """The atoms ``find_kst_minor`` searches for a K_{s,t} minor, in search
+    order (ascending size, then lowest vertex id).
+
+    For s = 1 they are the connected components; for s >= 2 the blocks; for
+    s >= 3 each block is further split along edges {u, v} whose removal
+    disconnects it.  Every separator used is a clique of order less than s.
+    """
+    return [tuple(bits(m)) for m in _atom_masks(g.adj, g.n, s)]
+
+
+def find_kst_minor(g: Graph, q: MinorQuery, budget: int | None = None) -> MinorSearch:
+    """Exact search for a K_{s,t} branch model in ``g``, one atom at a time.
+
+    ``g`` is split into atoms along clique separators of order less than s
+    (see ``kst_atoms``) and the backtracking core runs inside each atom in
+    turn.  An atom with fewer than s + t vertices or fewer than s * t edges
+    cannot hold the minor and is skipped at zero nodes.  ``budget`` caps the
+    node expansions summed over all atoms; exceeding it yields
+    BUDGET_EXHAUSTED.  A found model is re-verified on ``g``.
+
+    Soundness: K_{s,t} with s <= t is s-connected.  Let S be a clique
+    separator of g with |S| < s, so that g = G1 u G2 with G1 n G2 = S, and
+    take a K_{s,t} model in g.  Branch sets are disjoint, so fewer than s of
+    them meet S.  K_{s,t} minus fewer than s vertices stays connected, so the
+    other branch sets, each connected and avoiding S, all lie on one side,
+    say G1.  Cut every branch set down to V(G1).  Each stays non-empty (it
+    lies in G1 or meets S) and connected: a detour through G2 - S leaves and
+    re-enters through S, and S is a clique.  Every cross edge survives: a
+    cross edge with an end in G2 - S joins two sets that both meet S, and S
+    is a clique of g.  So G1 has the minor too, and induction over the
+    separators puts it inside one atom.  Conversely an atom is an induced
+    subgraph, so its minors are minors of g.
+    """
+    s, t = q.s, q.t
+    k = s + t
+    if g.n < k or g.edge_count() < s * t:
+        return MinorSearch(SearchStatus.NOT_FOUND, None, 0, 0)
+    adj = g.adj
+    nodes = searched = 0
+    for m in _atom_masks(adj, g.n, s):
+        if m.bit_count() < k or sum((adj[v] & m).bit_count() for v in bits(m)) < 2 * s * t:
+            continue
+        res = _search(g, q, m, None if budget is None else budget - nodes)
+        nodes += res.nodes_expanded
+        searched += 1
+        if res.status is SearchStatus.BUDGET_EXHAUSTED:
+            return MinorSearch(res.status, None, nodes, searched)
+        if res.status is SearchStatus.FOUND:
+            bad = model_violation(g, res.model, q)
+            assert bad is None, f"search produced an invalid model: {bad}"
+            return MinorSearch(res.status, res.model, nodes, searched)
+    return MinorSearch(SearchStatus.NOT_FOUND, None, nodes, searched)
 
 
 # --- independent oracle -------------------------------------------------
@@ -382,11 +509,3 @@ def kst_query_graph(q: MinorQuery) -> Graph:
     from .graph import complete_bipartite
 
     return complete_bipartite(q.s, q.t)
-
-
-def all_graphs(n: int):
-    """Iterate every labeled simple graph on n vertices (2^C(n,2) of them)."""
-    pairs = list(itertools.combinations(range(n), 2))
-    for code in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if (code >> i) & 1]
-        yield Graph.from_edges(n, edges)

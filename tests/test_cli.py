@@ -92,6 +92,28 @@ def test_usage_errors_exit_above_two(paths, capsys):
     capsys.readouterr()
 
 
+def test_internal_error_is_not_an_answer(paths, capsys, monkeypatch):
+    import kstlab.minors as mn
+
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(mn, "find_kst_minor", crash)
+    assert main(["check-minor", str(paths / "c4.txt"), "--s", "2", "--t", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "RecursionError" in err
+
+
+def test_check_lcolor_on_the_empty_graph(tmp_path, capsys):
+    g = tmp_path / "empty.txt"
+    g.write_text("n=0 m=0\n")
+    assert main(["check-lcolor", str(g), '{"lists": []}', "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"] == {"colorable": True, "coloring": []}
+    assert main(["check-lcolor", str(g), '{"lists": []}']) == 0
+    assert capsys.readouterr().out.startswith("check-lcolor: colorable")
+
+
 # --- report shapes -----------------------------------------------------------
 
 
@@ -103,6 +125,7 @@ def test_json_report_shape(paths, capsys):
     assert doc["command"] == "check-minor"
     assert doc["result"]["status"] == "found"
     assert doc["result"]["model"] == {"side1": [[0], [2]], "side2": [[1], [3]]}
+    assert doc["result"]["atoms_searched"] == 1
     # execution-resource flags stay out of the config echo
     assert "threads" not in doc["config"]
     assert "deterministic" not in doc["config"]

@@ -20,6 +20,7 @@ from kstlab.graph import (
     GraphFormatError,
     GlueSpec,
     bits,
+    closure,
     complement,
     complete,
     complete_bipartite,
@@ -94,6 +95,17 @@ def test_from_edges_builds_symmetric_adjacency():
 def test_mask_helpers_roundtrip():
     assert mask_of([0, 3, 5]) == 0b101001
     assert list(bits(0b101001)) == [0, 3, 5]
+
+
+def test_closure_stays_inside_allowed():
+    g = path(5)                      # 0-1-2-3-4
+    assert closure(g.adj, 0b1, g.vertex_mask()) == 0b11111
+    # vertex 2 is not allowed, so the walk from 0 stops at 1
+    assert closure(g.adj, 0b1, 0b11011) == 0b11
+    assert closure(g.adj, 0, g.vertex_mask()) == 0
+    # {0, 2} is not connected in P_5, {1, 2, 3} is
+    assert closure(g.adj, 0b1, 0b101) != 0b101
+    assert closure(g.adj, 0b10, 0b1110) == 0b1110
 
 
 # --- complement ----------------------------------------------------------

@@ -14,10 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from kstlab.graph import (
     Graph,
+    GlueSpec,
     complete,
     complete_bipartite,
     cycle,
     empty,
+    glue,
     induced_subgraph,
     path,
     permuted,
@@ -27,7 +29,9 @@ from kstlab.minors import (
     BranchModel,
     MinorQuery,
     SearchStatus,
+    _search,
     find_kst_minor,
+    kst_atoms,
     kst_query_graph,
     model_violation,
     oracle_has_minor,
@@ -273,3 +277,88 @@ def test_vertex_deletion_preserves_not_found(g, data):
         v = data.draw(st.integers(0, g.n - 1))
         sub, _ = induced_subgraph(g, [u for u in range(g.n) if u != v])
         assert find_kst_minor(sub, q).status is SearchStatus.NOT_FOUND
+
+
+# --- decomposition into atoms ----------------------------------------------
+
+
+def test_atoms_of_a_forest_are_its_components():
+    forest = Graph.from_edges(7, [(0, 1), (1, 2), (4, 5)])
+    assert kst_atoms(forest, 1) == [(3,), (6,), (4, 5), (0, 1, 2)]
+
+
+def test_atoms_of_a_bowtie_are_its_two_triangles():
+    bowtie = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    assert kst_atoms(bowtie, 1) == [(0, 1, 2, 3, 4)]
+    assert kst_atoms(bowtie, 2) == [(0, 1, 2), (2, 3, 4)]
+
+
+def test_two_k4_sharing_an_edge_split_only_for_s_at_least_3():
+    g = glue(GlueSpec(complete(4), complete(4), ((2, 0), (3, 1))))
+    assert kst_atoms(g, 2) == [tuple(range(6))]
+    assert kst_atoms(g, 3) == [(0, 1, 2, 3), (2, 3, 4, 5)]
+
+
+def test_long_path_blocks_without_recursion():
+    # 1200 vertices is past the default recursion limit of 1000.
+    g = path(1200)
+    atoms = kst_atoms(g, 2)
+    assert len(atoms) == 1199
+    assert all(len(a) == 2 for a in atoms)
+    res = find_kst_minor(g, MinorQuery(2, 2))
+    assert res.status is SearchStatus.NOT_FOUND
+    assert res.nodes_expanded == 0 and res.atoms_searched == 0
+
+
+def test_budget_is_shared_across_atoms():
+    # Two disjoint triangulated pentagons (outerplanar, so no K_{2,3}
+    # minor) and then a K_{2,3}: the three atoms are searched in turn.
+    fan = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (0, 3)])
+    g = glue(GlueSpec(glue(GlueSpec(fan, fan, ())), complete_bipartite(2, 3), ()))
+    q = MinorQuery(2, 3)
+    full = find_kst_minor(g, q)
+    assert full.status is SearchStatus.FOUND
+    assert full.atoms_searched == 3
+    assert min(min(bs) for bs in full.model.side1 + full.model.side2) >= 10
+    again = find_kst_minor(g, q, budget=full.nodes_expanded)
+    assert again == full
+    short = find_kst_minor(g, q, budget=full.nodes_expanded - 1)
+    assert short.status is SearchStatus.BUDGET_EXHAUSTED
+    assert short.nodes_expanded <= full.nodes_expanded - 1
+
+
+def _agrees_with_whole_host_core(g, q):
+    got = find_kst_minor(g, q)
+    want = _search(g, q, g.vertex_mask(), None)
+    assert got.status is want.status, (g.adj, q)
+    if got.status is SearchStatus.FOUND:
+        assert verify_model(g, got.model, q)
+    assert got.atoms_searched <= len(kst_atoms(g, q.s))
+
+
+@given(graphs(min_n=1, max_n=8), st.data())
+def test_atoms_agree_with_whole_host_core(g, data):
+    s = data.draw(st.integers(1, 3))
+    t = data.draw(st.integers(s, 3))
+    _agrees_with_whole_host_core(g, MinorQuery(s, t))
+
+
+@given(graphs(min_n=3, max_n=5), graphs(min_n=3, max_n=5), st.data())
+def test_atoms_agree_with_whole_host_core_on_clique_glues(g1, g2, data):
+    s = data.draw(st.integers(1, 3))
+    t = data.draw(st.integers(s, 3))
+    size = data.draw(st.integers(0, 3))
+    c1 = data.draw(st.permutations(range(g1.n)))[:size]
+    c2 = data.draw(st.permutations(range(g2.n)))[:size]
+
+    def with_clique(g, c):
+        adj = list(g.adj)
+        for u in c:
+            for v in c:
+                if u != v:
+                    adj[u] |= 1 << v
+        return Graph(g.n, tuple(adj), None)
+
+    host = glue(GlueSpec(with_clique(g1, c1), with_clique(g2, c2),
+                         tuple(zip(c1, c2))))
+    _agrees_with_whole_host_core(host, MinorQuery(s, t))
