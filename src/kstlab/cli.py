@@ -3,8 +3,8 @@
 Subcommands: check-minor, check-lcolor, check-choosable, build-h,
 build-counterexample, bounds, experiment.  Exit codes: the check-* commands
 answer through the code (0 yes / 1 no / 2 budget or cap), 3 is usage or IO,
-and 4 is an internal error (any other exception, such as a RecursionError),
-reported in one stderr line that names it; a crash is never an answer.
+and 4 is an internal error (any other exception), reported in one stderr
+line that names it; a crash is never an answer.
 Reports embed a format_version and the full run configuration;
 execution-resource knobs (--threads, --deterministic) stay outside the
 echoed configuration so reports are byte-identical across thread counts.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -302,7 +303,10 @@ def _cmd_experiment(args) -> int:
 # --- parser --------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` returns a
+    fresh namespace on every call."""
     top = argparse.ArgumentParser(
         prog="kstlab",
         description="Exact minor testing, choosability checking, and random "

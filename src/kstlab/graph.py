@@ -56,16 +56,24 @@ def closure(adj, seed: int, allowed: int) -> int:
     ``allowed``.  ``closure(adj, low, m) == m`` for the lowest bit ``low`` of
     a non-empty ``m`` says that ``m`` induces a connected subgraph.
     """
+    return closure_nbr(adj, seed, allowed)[0]
+
+
+def closure_nbr(adj, seed: int, allowed: int) -> tuple[int, int]:
+    """``closure(adj, seed, allowed)`` and the union of the neighbourhoods of
+    its vertices, both from one breadth-first search."""
     reach = frontier = seed
+    nbr = 0
     while frontier:
         nxt = 0
         while frontier:
             b = frontier & -frontier
             nxt |= adj[b.bit_length() - 1]
             frontier ^= b
+        nbr |= nxt
         frontier = nxt & allowed & ~reach
         reach |= frontier
-    return reach
+    return reach, nbr
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ reductions rather than heuristics:
 A NotChoosable verdict always carries a witness assignment on the original
 graph with lists of size exactly k, rebuilt from the failing core by padding
 deleted vertices with fresh private colors, and is re-checked by the solver
-before being returned.
+before being returned (a witness that fails raises RuntimeError).
 """
 
 from __future__ import annotations
@@ -99,8 +99,11 @@ def find_l_coloring(g: Graph, lists: ListAssignment) -> tuple[int, ...] | None:
 
     Picks the uncolored vertex with the fewest live colors (lowest id on
     ties), forward-checks neighbors, and tries colors in ascending order, so
-    the result is deterministic.  Returns a proper in-list coloring or None,
-    and None is an exhaustiveness certificate.
+    the result is deterministic.  The backtracking keeps an explicit stack,
+    so depth is not bounded by the interpreter's recursion limit.  Returns a
+    proper in-list coloring, re-checked by ``verify_coloring`` (a failed
+    check raises RuntimeError), or None, and None is an exhaustiveness
+    certificate.
     """
     if len(lists) != g.n:
         raise ValueError("assignment length differs from vertex count")
@@ -117,42 +120,58 @@ def find_l_coloring(g: Graph, lists: ListAssignment) -> tuple[int, ...] | None:
             live[v] |= 1 << idx[c]
     adj = g.adj
     color = [-1] * n
+    # Frames: [vertex, uncolored after it, colours left to try, bit of the
+    # colour it holds now, neighbours that colour was struck from].  The bit
+    # loops are inline: ``bits`` generators made the solver about a third
+    # slower on small, deep trees such as the pigeonhole copies.
+    stack: list[list] = []
     uncolored = (1 << n) - 1
-
-    def solve(uncolored: int) -> bool:
-        if uncolored == 0:
-            return True
+    while uncolored:
         best_v, best_sz = -1, 1 << 60
-        for v in bits(uncolored):
+        m = uncolored
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
             sz = live[v].bit_count()
             if sz < best_sz:
                 best_v, best_sz = v, sz
                 if sz <= 1:
                     break
-        if best_sz == 0:
-            return False
-        v = best_v
-        rest = uncolored ^ (1 << v)
-        options = live[v]
-        for c in bits(options):
-            cbit = 1 << c
-            touched = []
-            for u in bits(adj[v] & rest):
-                if live[u] & cbit:
-                    live[u] ^= cbit
-                    touched.append(u)
-            color[v] = c
-            if solve(rest):
-                return True
-            for u in touched:
+            m ^= b
+        if best_sz:
+            stack.append([best_v, uncolored ^ (1 << best_v), live[best_v], 0, ()])
+        # Undo the colour last tried and forward-check the next one,
+        # dropping frames whose colours are all tried.
+        while stack:
+            frame = stack[-1]
+            cbit = frame[3]
+            for u in frame[4]:
                 live[u] |= cbit
-        color[v] = -1
-        return False
-
-    if not solve(uncolored):
-        return None
+            options = frame[2]
+            if options:
+                v = frame[0]
+                uncolored = frame[1]
+                cbit = options & -options
+                frame[2] = options ^ cbit
+                frame[3] = cbit
+                frame[4] = touched = []
+                m = adj[v] & uncolored
+                while m:
+                    b = m & -m
+                    u = b.bit_length() - 1
+                    if live[u] & cbit:
+                        live[u] ^= cbit
+                        touched.append(u)
+                    m ^= b
+                color[v] = cbit.bit_length() - 1
+                break
+            color[frame[0]] = -1
+            stack.pop()
+        else:
+            return None
     out = tuple(universe[color[v]] for v in range(n))
-    assert verify_coloring(g, lists, out)
+    if not verify_coloring(g, lists, out):
+        raise RuntimeError("solver produced an improper or off-list colouring")
     return out
 
 
@@ -291,6 +310,6 @@ def is_k_choosable(
             full.append(frozenset(range(nxt, nxt + k)))
             nxt += k
     witness = ListAssignment(tuple(full))
-    assert all(len(l) == k for l in witness.lists)
-    assert find_l_coloring(g, witness) is None, "witness failed re-verification"
+    if any(len(l) != k for l in witness.lists) or find_l_coloring(g, witness) is not None:
+        raise RuntimeError("witness failed re-verification")
     return ChoosabilityVerdict(k, False, witness, universe)

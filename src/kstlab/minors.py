@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph import Graph, bits, closure, mask_of
+from .graph import Graph, bits, closure, closure_nbr, mask_of
 
 
 @dataclass(frozen=True)
@@ -109,132 +109,151 @@ def verify_model(g: Graph, model: BranchModel, q: MinorQuery) -> bool:
     return model_violation(g, model, q) is None
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSearch:
     """Exact search for a K_{s,t} branch model in the subgraph of ``g``
     induced by the vertex mask ``within``.
 
-    Backtracks over assignments of vertices to one of the s + t branch sets
-    or to an unused pool.  Vertices are chosen dynamically (fewest feasible
-    sets first, lowest id on ties); sets are opened lowest-id first within a
-    side, which breaks the set-relabeling symmetry.  All prunes are sound, so
-    NOT_FOUND is an exhaustiveness certificate.  ``budget`` caps node
-    expansions; exceeding it yields BUDGET_EXHAUSTED.  Deterministic: equal
-    inputs explore the identical tree.  The model it returns is not yet
-    verified; ``find_kst_minor`` checks it on the host.
+    Backtracks, with an explicit stack, over assignments of vertices to one
+    of the s + t branch sets or to an unused pool.  At each node the
+    branching vertex is an undecided vertex with the fewest candidate sets,
+    highest degree inside ``within`` and lowest id breaking ties (fail-first
+    branching, ties by degree as in DSATUR).  Its children are, in order:
+    open the first empty side-1 set, open the first empty side-2 set, join
+    each non-empty set it can still reach in ascending index, leave it
+    unused.  Sets are opened lowest index first within a side, which breaks
+    the set-relabelling symmetry; with s == t the first set opened goes to
+    side 1.  All prunes are sound, so NOT_FOUND is an exhaustiveness
+    certificate.  ``budget`` caps node expansions; exceeding it yields
+    BUDGET_EXHAUSTED.  Deterministic: equal inputs explore the identical
+    tree.  The model it returns is not yet verified; ``find_kst_minor``
+    checks it on the host.
+
+    Completeness of the order: the branching vertex and the children of a
+    node depend only on the node's partial assignment, never on the path
+    that reached it.  So the child order only changes the order in which
+    the tree is walked: a NOT_FOUND search visits the same nodes under any
+    child order, and a FOUND search stops at a witness either way.  Any
+    choice of branching vertex is complete, because every option left to
+    that vertex is a child: a set it cannot reach through undecided
+    vertices can never hold it together with that set's committed vertices
+    in one connected set, and the empty sets of one side are
+    interchangeable, so opening the first of them covers opening any.
     """
     s, t = q.s, q.t
     k = s + t
     adj = g.adj
     cmask = [0] * k        # vertices committed to each branch set
     cnbr = [0] * k         # union of host neighbourhoods over each set
-    nodes = 0
-    out_model: list[BranchModel] = []
+    by_deg: dict[int, int] = {}
+    for v in bits(within):
+        d = (adj[v] & within).bit_count()
+        by_deg[d] = by_deg.get(d, 0) | 1 << v
+    deg_classes = [by_deg[d] for d in sorted(by_deg, reverse=True)]
 
-    def dfs(und: int) -> bool:
-        nonlocal nodes
-        if budget is not None and nodes >= budget:
-            raise _BudgetHit
-        nodes += 1
-
-        # Early success: current sets already witness the minor.
-        if all(cmask):
-            ok = True
-            for i in range(s):
-                nb = cnbr[i]
-                for j in range(s, k):
-                    if not (nb & cmask[j]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok and all(closure(adj, cm & -cm, cm) == cm for cm in cmask):
-                side1 = sorted((frozenset(bits(cm)) for cm in cmask[:s]), key=min)
-                side2 = sorted((frozenset(bits(cm)) for cm in cmask[s:]), key=min)
-                out_model.append(BranchModel(tuple(side1), tuple(side2), g))
-                return True
-
-        if und == 0:
-            return False
-
-        empties = sum(1 for cm in cmask if cm == 0)
-        if und.bit_count() < empties:
-            return False
+    def branch(und: int) -> tuple[int, list[int]] | None:
+        """The branching vertex of a node and its children (set indices, -1
+        for unused), last to try first; None when a prune closes the node."""
+        if und.bit_count() < cmask.count(0):
+            return None
 
         # Reachability closures: a set can only ever grow inside its closure
         # through undecided vertices, so a set split across closure
         # components is dead, and a vertex outside a closure can never join.
         reach = [0] * k
+        nbr_reach = [0] * k
         for c in range(k):
             cm = cmask[c]
             if cm:
-                r = closure(adj, cm & -cm, cm | und)
+                r, nb = closure_nbr(adj, cm & -cm, cm | und)
                 if cm & ~r:
-                    return False
+                    return None
                 reach[c] = r
+                nbr_reach[c] = nb
 
         # Cross-pair liveness: an unlinked pair must still have a potential
         # host edge between the two closures.
-        nbr_reach = [0] * k
-        for c in range(k):
-            if cmask[c]:
-                nb = cnbr[c]
-                for v in bits(reach[c] & und):
-                    nb |= adj[v]
-                nbr_reach[c] = nb
         for i in range(s):
             if not cmask[i]:
                 continue
             for j in range(s, k):
                 if cmask[j] and not (cnbr[i] & cmask[j]):
                     if not (nbr_reach[i] & reach[j]):
-                        return False
+                        return None
 
-        e1 = next((c for c in range(s) if not cmask[c]), None)
+        # ge[j] holds the undecided vertices inside at least j closures; the
+        # empty sets a vertex may open are the same for every vertex.
+        ge = [und]
+        for r in reach:
+            if r:
+                ge.append(0)
+                for j in range(len(ge) - 1, 0, -1):
+                    ge[j] |= ge[j - 1] & r
+        ge.append(0)
+        j = 0
+        while not (fewest := ge[j] & ~ge[j + 1]):
+            j += 1
+        for dm in deg_classes:
+            pick = fewest & dm
+            if pick:
+                break
+        vbit = pick & -pick
+        v = vbit.bit_length() - 1
+
+        todo = [-1]
+        todo += [c for c in range(k - 1, -1, -1) if reach[c] & vbit]
         e2 = next((c for c in range(s, k) if not cmask[c]), None)
         # With s == t the two sides are interchangeable, so the very first
         # set opened can be forced onto side 1.
-        allow_e2 = e2 is not None and not (s == t and all(cm == 0 for cm in cmask))
+        if e2 is not None and not (s == t and not any(cmask)):
+            todo.append(e2)
+        e1 = next((c for c in range(s) if not cmask[c]), None)
+        if e1 is not None:
+            todo.append(e1)
+        return v, todo
 
-        best_v = -1
-        best_cand: list[int] = []
-        best_score = k + 3
-        for v in bits(und):
-            cand = [c for c in range(k) if cmask[c] and (reach[c] >> v) & 1]
-            if e1 is not None:
-                cand.append(e1)
-            if allow_e2:
-                cand.append(e2)
-            if len(cand) < best_score:
-                best_score = len(cand)
-                best_v = v
-                best_cand = cand
-                if best_score == 0:
-                    break
+    nodes = 0
+    # Frames: [undecided after v, 1 << v, adj[v], children left to try,
+    # set holding v now (-1: none), that set's cnbr before v joined].
+    stack: list[list] = []
+    und = within
+    while True:
+        if budget is not None and nodes >= budget:
+            return MinorSearch(SearchStatus.BUDGET_EXHAUSTED, None, nodes, 1)
+        nodes += 1
 
-        vbit = 1 << best_v
-        nxt_und = und ^ vbit
-        for c in sorted(best_cand):
-            old_nbr = cnbr[c]
-            cmask[c] |= vbit
-            cnbr[c] |= adj[best_v]
-            if dfs(nxt_und):
-                return True
-            cmask[c] ^= vbit
-            cnbr[c] = old_nbr
-        # leave best_v unused
-        return dfs(nxt_und)
+        # Early success: current sets already witness the minor.
+        if (all(cmask)
+                and all(cnbr[i] & cmask[j] for i in range(s) for j in range(s, k))
+                and all(closure(adj, cm & -cm, cm) == cm for cm in cmask)):
+            side1 = sorted((frozenset(bits(cm)) for cm in cmask[:s]), key=min)
+            side2 = sorted((frozenset(bits(cm)) for cm in cmask[s:]), key=min)
+            return MinorSearch(SearchStatus.FOUND,
+                               BranchModel(tuple(side1), tuple(side2), g), nodes, 1)
 
-    try:
-        found = dfs(within)
-    except _BudgetHit:
-        return MinorSearch(SearchStatus.BUDGET_EXHAUSTED, None, nodes, 1)
-    if not found:
-        return MinorSearch(SearchStatus.NOT_FOUND, None, nodes, 1)
-    return MinorSearch(SearchStatus.FOUND, out_model[0], nodes, 1)
+        node = branch(und) if und else None
+        if node is not None:
+            v, todo = node
+            stack.append([und ^ (1 << v), 1 << v, adj[v], todo, -1, 0])
+
+        # Undo the child last tried and apply the next one, dropping frames
+        # whose children are all tried.
+        while stack:
+            frame = stack[-1]
+            nxt, vbit, av, todo, c, old = frame
+            if c >= 0:
+                cmask[c] ^= vbit
+                cnbr[c] = old
+            if todo:
+                c = frame[4] = todo.pop()
+                if c >= 0:
+                    frame[5] = cnbr[c]
+                    cmask[c] |= vbit
+                    cnbr[c] |= av
+                und = nxt
+                break
+            stack.pop()
+        else:
+            return MinorSearch(SearchStatus.NOT_FOUND, None, nodes, 1)
 
 
 # --- decomposition along small clique separators -------------------------
@@ -358,7 +377,11 @@ def find_kst_minor(g: Graph, q: MinorQuery, budget: int | None = None) -> MinorS
     turn.  An atom with fewer than s + t vertices or fewer than s * t edges
     cannot hold the minor and is skipped at zero nodes.  ``budget`` caps the
     node expansions summed over all atoms; exceeding it yields
-    BUDGET_EXHAUSTED.  A found model is re-verified on ``g``.
+    BUDGET_EXHAUSTED.  A found model is re-verified on ``g``, and a model
+    that fails raises RuntimeError.  Inside an atom, ``_search`` branches
+    fail-first (fewest candidate sets, then highest degree in the atom, then
+    lowest id) and opens new branch sets before joining existing ones; its
+    docstring argues why that order keeps the search complete.
 
     Soundness: K_{s,t} with s <= t is s-connected.  Let S be a clique
     separator of g with |S| < s, so that g = G1 u G2 with G1 n G2 = S, and
@@ -389,7 +412,8 @@ def find_kst_minor(g: Graph, q: MinorQuery, budget: int | None = None) -> MinorS
             return MinorSearch(res.status, None, nodes, searched)
         if res.status is SearchStatus.FOUND:
             bad = model_violation(g, res.model, q)
-            assert bad is None, f"search produced an invalid model: {bad}"
+            if bad is not None:
+                raise RuntimeError(f"search produced an invalid model: {bad}")
             return MinorSearch(res.status, res.model, nodes, searched)
     return MinorSearch(SearchStatus.NOT_FOUND, None, nodes, searched)
 

@@ -11,8 +11,10 @@ import json
 import pytest
 
 from kstlab import cycle, complete_bipartite, petersen, serialize, uniform_lists
-from kstlab.cli import main
-from kstlab.graph import to_edge_list
+from kstlab.cli import build_parser, main
+from kstlab.graph import path, to_edge_list
+from kstlab.listcolor import ListAssignment, verify_coloring
+from kstlab.minors import BranchModel, MinorQuery, model_violation
 
 
 @pytest.fixture()
@@ -112,6 +114,32 @@ def test_check_lcolor_on_the_empty_graph(tmp_path, capsys):
     assert doc["result"] == {"colorable": True, "coloring": []}
     assert main(["check-lcolor", str(g), '{"lists": []}']) == 0
     assert capsys.readouterr().out.startswith("check-lcolor: colorable")
+
+
+def test_long_path_answers_without_recursion(tmp_path, capsys):
+    # 1500 vertices is past the default recursion limit of 1000.
+    g = path(1500)
+    (tmp_path / "path.txt").write_text(to_edge_list(g))
+    lists = ListAssignment.of_lists([(v % 3, v % 3 + 1) for v in range(g.n)])
+    (tmp_path / "lists.json").write_text(lists.to_json())
+    assert main(["check-lcolor", str(tmp_path / "path.txt"),
+                 str(tmp_path / "lists.json"), "--format", "json"]) == 0
+    coloring = json.loads(capsys.readouterr().out)["result"]["coloring"]
+    assert verify_coloring(g, lists, coloring)
+    assert main(["check-minor", str(tmp_path / "path.txt"), "--s", "1", "--t", "2",
+                 "--format", "json"]) == 0
+    model = json.loads(capsys.readouterr().out)["result"]["model"]
+    assert model_violation(g, BranchModel.from_json_dict(model, g), MinorQuery(1, 2)) is None
+
+
+def test_cached_parser_gives_each_call_its_own_namespace(paths, capsys):
+    assert build_parser() is build_parser()
+    argv = ["check-minor", str(paths / "c4.txt"), "--s", "2", "--t", "2",
+            "--format", "json"]
+    assert main(argv + ["--budget", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["budget"] == 1000
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["budget"] is None
 
 
 # --- report shapes -----------------------------------------------------------

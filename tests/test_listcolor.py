@@ -139,6 +139,62 @@ def test_solver_agrees_with_product_enumeration(g, data):
         assert verify_coloring(g, la, got)
 
 
+def _recursive_solver(g: Graph, lists: ListAssignment):
+    """The solver's visit order as plain recursion: fewest live colours
+    first, lowest id on ties, colours ascending, forward checking."""
+    if any(not l for l in lists.lists):
+        return None
+    universe = sorted(set().union(*lists.lists, ()))
+    live = [sum(1 << universe.index(c) for c in l) for l in lists.lists]
+    color = [-1] * g.n
+
+    def solve(uncolored):
+        if not uncolored:
+            return True
+        v = min((u for u in range(g.n) if uncolored >> u & 1),
+                key=lambda u: (max(live[u].bit_count(), 1), u))
+        rest = uncolored & ~(1 << v)
+        for c in range(len(universe)):
+            if not live[v] >> c & 1:
+                continue
+            touched = [u for u in range(g.n)
+                       if rest >> u & 1 and g.adj[v] >> u & 1 and live[u] >> c & 1]
+            for u in touched:
+                live[u] ^= 1 << c
+            color[v] = c
+            if solve(rest):
+                return True
+            for u in touched:
+                live[u] |= 1 << c
+        return False
+
+    if not solve((1 << g.n) - 1):
+        return None
+    return tuple(universe[c] for c in color)
+
+
+@given(graphs(min_n=0, max_n=7), st.data())
+def test_solver_keeps_the_recursive_visit_order(g, data):
+    lists = ListAssignment.of_lists(
+        data.draw(st.lists(st.integers(0, 4), max_size=3)) for _ in range(g.n))
+    assert find_l_coloring(g, lists) == _recursive_solver(g, lists)
+
+
+def test_unverified_answers_raise(monkeypatch):
+    # Plain raises, not asserts, so ``python -O`` keeps them.
+    import kstlab.listcolor as lc
+
+    monkeypatch.setattr(lc, "verify_coloring", lambda *args: False)
+    with pytest.raises(RuntimeError):
+        find_l_coloring(cycle(4), uniform_lists(4, [0, 1]))
+    monkeypatch.undo()
+    # C_4 is 2-choosable, so a "bad" core of uniform lists fails the re-check.
+    monkeypatch.setattr(lc, "_bad_assignment_on",
+                        lambda g, mask, k: {v: frozenset({0, 1}) for v in range(g.n)})
+    with pytest.raises(RuntimeError, match="witness"):
+        is_k_choosable(cycle(4), 2)
+
+
 def test_verify_coloring_rejects():
     g = path(2)
     lists = uniform_lists(2, [0, 1])

@@ -9,9 +9,15 @@ every graph with at most 5 vertices.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kstlab.construction import tiny_gadget
 from kstlab.graph import (
     Graph,
     GlueSpec,
@@ -362,3 +368,66 @@ def test_atoms_agree_with_whole_host_core_on_clique_glues(g1, g2, data):
     host = glue(GlueSpec(with_clique(g1, c1), with_clique(g2, c2),
                          tuple(zip(c1, c2))))
     _agrees_with_whole_host_core(host, MinorQuery(s, t))
+
+
+# --- deep and glued hosts ----------------------------------------------------
+
+
+def test_long_path_has_k12_without_recursion():
+    # 1500 vertices is past the default recursion limit of 1000, and the
+    # path is one component, so s = 1 searches it whole.
+    g = path(1500)
+    q = MinorQuery(1, 2)
+    res = find_kst_minor(g, q)
+    assert res.status is SearchStatus.FOUND
+    assert model_violation(g, res.model, q) is None
+
+
+def _tiny_assembly(copies):
+    """Copies of the tiny gadget glued along their B clique {2, 3}."""
+    g = tiny_gadget()
+    for _ in range(copies - 1):
+        g = glue(GlueSpec(g, tiny_gadget(), ((2, 2), (3, 3))))
+    return g
+
+
+@pytest.mark.parametrize("copies, s, t", [(9, 2, 3), (7, 2, 2)])
+def test_tiny_assemblies_answer_within_a_small_budget(copies, s, t):
+    # The copies share a 2-clique, which does not split the host for s = 2,
+    # and they are interchangeable: opening new branch sets first reaches a
+    # model before the search wanders among the copies.
+    g = _tiny_assembly(copies)
+    assert g.n == 2 + 2 * copies
+    q = MinorQuery(s, t)
+    res = find_kst_minor(g, q, budget=1000)
+    assert res.status is SearchStatus.FOUND
+    assert model_violation(g, res.model, q) is None
+
+
+def test_invalid_model_raises_under_python_dash_o():
+    # The re-verification of a found model must not be an assert, which
+    # ``python -O`` strips.
+    script = textwrap.dedent("""
+        import sys
+        from kstlab import minors
+        from kstlab.graph import cycle
+
+        def bogus(g, q, within, budget):
+            model = minors.BranchModel((frozenset({0}),), (frozenset({2}),), g)
+            return minors.MinorSearch(minors.SearchStatus.FOUND, model, 1, 1)
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        minors._search = bogus
+        try:
+            minors.find_kst_minor(cycle(4), minors.MinorQuery(1, 1))
+        except RuntimeError as exc:
+            print("raised:", exc)
+    """)
+    env = dict(os.environ)
+    src_dir = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: search produced an invalid model")
