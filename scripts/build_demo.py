@@ -73,9 +73,7 @@ def main() -> int:
     print(f"assembly: {asm.graph.n} vertices, {copies} copies, "
           f"palette {palette}")
 
-    proper = [c for c in asm.colorings
-              if all(c[i] != c[j] for i in range(n) for j in range(i + 1, n)
-                     if asm.graph.has_edge(i, j))]
+    proper = [c for c in asm.colorings if asm.proper_on_b(c)]
     blocked = sum(verify_no_l_coloring_pigeonhole(asm, c) for c in proper)
     print(f"pigeonhole: {blocked}/{len(proper)} proper B-colorings blocked")
 

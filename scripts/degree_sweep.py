@@ -28,7 +28,6 @@ def main() -> int:
     ap.add_argument("--n-stop", type=int, default=256)
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     ns = []
@@ -38,7 +37,7 @@ def main() -> int:
         n *= 2
     rows = degree_property_sweep(ns, args.trials, epsilon=args.eps,
                                  c_const=args.C, delta=args.delta,
-                                 seed=args.seed, threads=args.threads)
+                                 seed=args.seed)
     by_n = {}
     for r in rows:
         by_n.setdefault(r.n, []).append(r)

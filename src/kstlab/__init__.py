@@ -75,7 +75,6 @@ from .construction import (
     clique_gadget,
     degree_failure_exponent,
     degree_property_sweep,
-    derive_gadget_params,
     sample_bipartite,
     tiny_gadget,
     verify_no_l_coloring_pigeonhole,
@@ -122,7 +121,6 @@ __all__ = [
     "cycle",
     "degree_failure_exponent",
     "degree_property_sweep",
-    "derive_gadget_params",
     "empty",
     "find_kst_minor",
     "find_l_coloring",

@@ -5,9 +5,9 @@ build-counterexample, bounds, experiment.  Exit codes: the check-* commands
 answer through the code (0 yes / 1 no / 2 budget or cap), 3 is usage or IO,
 and 4 is an internal error (any other exception), reported in one stderr
 line that names it; a crash is never an answer.
-Reports embed a format_version and the full run configuration;
-execution-resource knobs (--threads, --deterministic) stay outside the
-echoed configuration so reports are byte-identical across thread counts.
+Reports embed a format_version and the full run configuration.  Every
+command runs single-threaded: --threads and --deterministic are accepted
+for compatibility, ignored, and left out of the echoed configuration.
 """
 
 from __future__ import annotations
@@ -198,8 +198,7 @@ def _cmd_build_counterexample(args) -> int:
     coloring = lc.find_l_coloring(asm.graph, asm.lists) if args.verify else None
     pigeonhole = None
     if args.verify:
-        proper = [c for c in asm.colorings
-                  if _proper_on_b(asm, c)]
+        proper = [c for c in asm.colorings if asm.proper_on_b(c)]
         pigeonhole = {
             "proper_b_colorings": len(proper),
             "all_blocked": all(cx.verify_no_l_coloring_pigeonhole(asm, c)
@@ -226,16 +225,6 @@ def _cmd_build_counterexample(args) -> int:
     if args.verify and coloring is not None:
         return EXIT_NO
     return EXIT_YES
-
-
-def _proper_on_b(asm: cx.CounterexampleAssembly, c) -> bool:
-    g = asm.graph
-    n = len(asm.base_b)
-    for i in range(n):
-        for j in gr.bits(g.adj[i] & ((1 << n) - 1)):
-            if c[i] == c[j]:
-                return False
-    return True
 
 
 def _cmd_bounds(args) -> int:
@@ -271,7 +260,6 @@ def _cmd_experiment(args) -> int:
         args.n, args.trials,
         epsilon=args.eps, c_const=args.C, delta=args.delta,
         seed=args.seed, block_trials=args.block_trials,
-        threads=args.threads,
     )
     if args.format == "csv":
         buf = io.StringIO()
@@ -317,10 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--format", choices=["human", "json", "csv"],
                        default=fmt_default)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="ignored: every command runs single-threaded "
+                            "(flag kept for command-line compatibility)")
         p.add_argument("--deterministic", action="store_true",
-                       help="pin the deterministic merge order (always on; "
-                            "flag kept for command-line compatibility)")
+                       help="ignored: reports are always deterministic "
+                            "(flag kept for command-line compatibility)")
 
     p = sub.add_parser("check-minor", help="exact K_{s,t} minor search")
     p.add_argument("graph", help="edge-list or JSON graph file")

@@ -15,13 +15,12 @@ Rational parameters (epsilon, C, delta) are carried exactly as Fractions
 wherever they feed integer derivations, so floors and ceilings never suffer
 float rounding.  All randomness flows through numpy Generators seeded from
 explicit integers; per-trial and per-retry streams are derived from the
-master seed, so reports are reproducible regardless of thread count.
+master seed, so a report depends on its arguments alone.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -36,6 +35,7 @@ from .graph import (
     complement,
     complete,
     induced_subgraph,
+    mask_of,
     non_neighbor_count,
 )
 from .listcolor import ListAssignment, find_l_coloring
@@ -110,10 +110,6 @@ class GadgetParams:
         return float(n) ** (-float(self.delta))
 
 
-def derive_gadget_params(epsilon, c_const) -> GadgetParams:
-    return GadgetParams.derive(epsilon, c_const)
-
-
 @dataclass(frozen=True)
 class CounterexampleParams:
     """Target shape for the glued construction.
@@ -176,18 +172,29 @@ def _derived_seed(*parts: int) -> int:
     return int(state[0]) << 32 | int(state[1])
 
 
-def sample_bipartite(n: int, params: GadgetParams, seed: int) -> Graph:
-    """Random bipartite graph: floor(C*n) A-vertices, n B-vertices, each
-    cross pair an edge independently with probability n**(-delta).
-    Deterministic in (n, params, seed)."""
+def _sample_hits(n: int, params: GadgetParams, seed: int) -> np.ndarray:
+    """The boolean (floor(C*n), n) hit matrix of one draw: entry (a, b) says
+    whether A-vertex a and B-vertex b are joined, independently with
+    probability n**(-delta).  Deterministic in (n, params, seed)."""
     if n < 1:
         raise ValueError("n must be positive")
     ma = _floor(params.c_const * n)
     if ma < 1:
         raise ValueError("floor(C*n) must be positive")
-    p = params.edge_probability(n)
     rng = np.random.default_rng(seed)
-    hits = rng.random((ma, n)) < p
+    return rng.random((ma, n)) < params.edge_probability(n)
+
+
+def sample_bipartite(n: int, params: GadgetParams, seed: int) -> Graph:
+    """Random bipartite graph: floor(C*n) A-vertices, n B-vertices, each
+    cross pair an edge independently with probability n**(-delta).
+    Deterministic in (n, params, seed)."""
+    return _hits_graph(_sample_hits(n, params, seed))
+
+
+def _hits_graph(hits: np.ndarray) -> Graph:
+    """The labelled bipartite graph of a hit matrix: A first, then B."""
+    ma, n = hits.shape
     edges = [(int(a), ma + int(b)) for a, b in np.argwhere(hits)]
     labels = (LABEL_A,) * ma + (LABEL_B,) * n
     return Graph.from_edges(ma + n, edges, labels)
@@ -236,12 +243,7 @@ def block_collection_joined(g: Graph, xs, ys) -> bool:
     """True iff some (X_i, Y_j) pair is fully joined: every x in X_i adjacent
     to every y in Y_j.  This is the per-collection predicate behind the block
     property and is usable on its own to audit witnesses."""
-    y_masks = []
-    for ys_i in ys:
-        m = 0
-        for y in ys_i:
-            m |= 1 << y
-        y_masks.append(m)
+    y_masks = [mask_of(ys_i) for ys_i in ys]
     for xs_i in xs:
         common = ~0
         for x in xs_i:
@@ -479,7 +481,9 @@ def build_gadget(
             h = complement(sub)
             limit = _ceil(params.epsilon * n)
             for v in range(h.n):
-                assert non_neighbor_count(h, v) <= limit
+                if non_neighbor_count(h, v) > limit:
+                    raise RuntimeError(
+                        f"gadget vertex {v} has more than {limit} non-neighbors")
             return GadgetBuild(h, tuple(attempts))
     return GadgetBuild(None, tuple(attempts))
 
@@ -524,6 +528,14 @@ class CounterexampleAssembly:
             return self.colorings.index(c)
         except ValueError:
             raise KeyError(f"no copy for B-coloring {c}") from None
+
+    def proper_on_b(self, coloring) -> bool:
+        """True iff ``coloring`` (one color per B vertex, in B order) gives
+        the two ends of every B edge of the glued graph different colors."""
+        c = tuple(coloring)
+        low = (1 << len(self.base_b)) - 1
+        return all(c[i] != c[j] for i in range(len(self.base_b))
+                   for j in bits(self.graph.adj[i] & low))
 
     def copy_correspondence(self, i: int) -> dict[int, int]:
         """base-graph vertex id -> glued-graph vertex id for copy i."""
@@ -612,7 +624,8 @@ def build_counterexample(
             for u in bits(row):
                 adj[u] |= 1 << va
             lst = full_list - punched
-            assert len(lst) >= palette_size - (n - ((row & ((1 << n) - 1)).bit_count()))
+            if len(lst) < palette_size - (n - (row & ((1 << n) - 1)).bit_count()):
+                raise RuntimeError(f"list of glued vertex {va} punched too far")
             lists.append(lst)
         at += m
         ranges.append((start, at))
@@ -644,11 +657,9 @@ def verify_no_l_coloring_pigeonhole(
         raise ValueError("coloring length must match |B|")
     if any(not (0 <= x < assembly.palette_size) for x in c):
         raise ValueError("coloring uses out-of-palette colors")
+    if not assembly.proper_on_b(c):
+        raise ValueError("coloring must be proper on B")
     g = assembly.graph
-    for i in range(n):
-        for j in bits(g.adj[i] & ((1 << n) - 1)):
-            if c[i] == c[j]:
-                raise ValueError("coloring must be proper on B")
     i = assembly.copy_index(c)
     start, stop = assembly.a_ranges[i]
     sub, kept = induced_subgraph(g, range(start, stop))
@@ -715,15 +726,16 @@ def degree_property_sweep(
     seed: int,
     max_block_size: int = 1,
     block_trials: int = 0,
-    threads: int = 1,
 ) -> list[SweepRow]:
     """Seeded Monte Carlo sweep of the degree property across sizes.
 
-    One row per (n, trial).  Per-trial seeds derive from (seed, n, trial), so
-    the report is identical for any thread count.  ``delta`` defaults to the
-    canonical derived value; pass an explicit Fraction to rescale the sweep.
-    With block_trials > 0 each draw also gets a sampled block-property check,
-    otherwise the block columns read 'skipped'.
+    One row per (n, trial), computed one after another in a single thread.
+    Per-trial seeds derive from (seed, n, trial), so the report depends on
+    the arguments alone.  The maximum degree is read off the row and column
+    sums of the draw's hit matrix.  ``delta`` defaults to the canonical
+    derived value; pass an explicit Fraction to rescale the sweep.  With
+    block_trials > 0 each draw is also built as a graph and gets a sampled
+    block-property check, otherwise the block columns read 'skipped'.
     """
     epsilon = _frac(epsilon)
     c_const = _frac(c_const)
@@ -733,27 +745,20 @@ def degree_property_sweep(
         delta = _frac(delta)
     params = GadgetParams(epsilon, c_const, max_block_size, delta)
 
-    jobs = [(n, trial) for n in ns for trial in range(trials)]
-
-    def run(job):
-        n, trial = job
-        s = _derived_seed(seed, n, trial)
-        g = sample_bipartite(n, params, s)
-        deg = check_degree_property(g, epsilon, n)
-        if block_trials > 0:
-            blocks = check_block_property(
-                g, max_block_size, epsilon, n,
-                mode="sampled", trials=block_trials,
-                seed=_derived_seed(seed, n, trial, 1))
-            status, failures, bt = blocks.status, blocks.failures, blocks.trials
-        else:
-            status, failures, bt = "skipped", 0, 0
-        return SweepRow(n, s, params.edge_probability(n), deg.max_degree,
-                        deg.passed, status, failures, bt)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(job) for job in jobs]
+    rows = []
+    for n in ns:
+        for trial in range(trials):
+            s = _derived_seed(seed, n, trial)
+            hits = _sample_hits(n, params, s)
+            max_degree = int(max(hits.sum(axis=0).max(), hits.sum(axis=1).max()))
+            if block_trials > 0:
+                blocks = check_block_property(
+                    _hits_graph(hits), max_block_size, epsilon, n,
+                    mode="sampled", trials=block_trials,
+                    seed=_derived_seed(seed, n, trial, 1))
+                status, failures, bt = blocks.status, blocks.failures, blocks.trials
+            else:
+                status, failures, bt = "skipped", 0, 0
+            rows.append(SweepRow(n, s, params.edge_probability(n), max_degree,
+                                 max_degree <= epsilon * n, status, failures, bt))
     return rows

@@ -24,11 +24,14 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+from kstlab import construction
 from kstlab.construction import (
     AssemblyCapError,
     CounterexampleParams,
+    DegreeCheck,
     EnumerationCapError,
     GadgetParams,
+    SweepRow,
     block_collection_joined,
     block_failure_exponent,
     build_counterexample,
@@ -39,7 +42,6 @@ from kstlab.construction import (
     clique_gadget,
     degree_failure_exponent,
     degree_property_sweep,
-    derive_gadget_params,
     sample_bipartite,
     tiny_gadget,
     verify_no_l_coloring_pigeonhole,
@@ -70,7 +72,6 @@ def test_derive_pins_block_size_and_exponent():
     assert p.max_block_size == 2
     assert p.delta == F(1, 16)
     assert p.max_block_size ** 2 * p.delta == F(1, 4)
-    assert derive_gadget_params(F(1, 2), F(1)) == p
 
 
 def test_derive_other_values():
@@ -314,6 +315,17 @@ def test_build_gadget_postconditions():
     assert build.attempts[-1].blocks.status == "verified"
 
 
+def test_build_gadget_non_neighbor_check_raises(monkeypatch):
+    # a dense draw (p = 6**(-1/100), about 0.98) gives most gadget vertices
+    # about 6 non-neighbors against ceil(eps * n) = 1; with the degree check
+    # forced to pass, only the postcondition stands in the way
+    monkeypatch.setattr(construction, "check_degree_property",
+                        lambda g, epsilon, n: DegreeCheck(True, 0, None))
+    dense = GadgetParams(F(1, 6), F(1), 1, F(1, 100))
+    with pytest.raises(RuntimeError, match="non-neighbors"):
+        build_gadget(6, 6, dense, seed=3, block_trials=1)
+
+
 def test_build_gadget_deterministic():
     b1 = build_gadget(8, 6, DESK, seed=11, block_mode="exhaustive")
     b2 = build_gadget(8, 6, DESK, seed=11, block_mode="exhaustive")
@@ -481,6 +493,16 @@ def test_pigeonhole_blocks_every_proper_coloring(tiny_assembly):
         assert verify_no_l_coloring_pigeonhole(asm, c)
 
 
+def test_proper_on_b_reads_the_glued_b_edges(tiny_assembly):
+    assert [tiny_assembly.proper_on_b(c) for c in tiny_assembly.colorings] \
+        == [c[0] != c[1] for c in tiny_assembly.colorings]
+    # a gadget whose B side has no edge: every B-coloring is proper
+    from kstlab.graph import Graph
+    h = Graph.from_edges(3, [(0, 1), (0, 2)], ("A", "B", "B"))
+    asm = build_counterexample(h, 2, "all")
+    assert all(asm.proper_on_b(c) for c in asm.colorings)
+
+
 def test_pigeonhole_rejects_improper_coloring(tiny_assembly):
     with pytest.raises(ValueError):
         verify_no_l_coloring_pigeonhole(tiny_assembly, (1, 1))
@@ -570,8 +592,45 @@ def test_sweep_shape_and_determinism():
     assert [r.n for r in rows] == [8] * 5 + [16] * 5
     again = degree_property_sweep([8, 16], 5, **kw)
     assert rows == again
-    threaded = degree_property_sweep([8, 16], 5, threads=4, **kw)
-    assert rows == threaded
+
+
+def _sweep_reference(ns, trials, *, epsilon, c_const, delta, seed, block_trials):
+    """The per-trial path the sweep replaced: build the sampled graph, then
+    run the degree (and sampled block) checks on it."""
+    if delta is None:
+        delta = GadgetParams.derive(epsilon, c_const).delta
+    params = GadgetParams(epsilon, c_const, 1, delta)
+    rows = []
+    for n in ns:
+        for trial in range(trials):
+            s = construction._derived_seed(seed, n, trial)
+            g = sample_bipartite(n, params, s)
+            deg = check_degree_property(g, epsilon, n)
+            status, failures, bt = "skipped", 0, 0
+            if block_trials > 0:
+                blocks = check_block_property(
+                    g, 1, epsilon, n, mode="sampled", trials=block_trials,
+                    seed=construction._derived_seed(seed, n, trial, 1))
+                status, failures, bt = blocks.status, blocks.failures, blocks.trials
+            rows.append(SweepRow(n, s, params.edge_probability(n), deg.max_degree,
+                                 deg.passed, status, failures, bt))
+    return rows
+
+
+@given(ns=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+       trials=st.integers(1, 3),
+       epsilon=st.sampled_from([F(1, 3), F(1, 2), F(3, 4)]),
+       c_const=st.sampled_from([F(1), F(3, 2), F(2)]),
+       delta=st.sampled_from([None, F(1, 4), F(1, 2), F(2, 3)]),
+       seed=st.integers(0, 2**32),
+       block_trials=st.sampled_from([0, 5]))
+def test_sweep_matches_per_trial_graph_path(ns, trials, epsilon, c_const, delta,
+                                            seed, block_trials):
+    # C != 1 makes the A side longer than the B side, so reading degrees off
+    # a transposed hit matrix would show here
+    kw = dict(epsilon=epsilon, c_const=c_const, delta=delta, seed=seed,
+              block_trials=block_trials)
+    assert degree_property_sweep(ns, trials, **kw) == _sweep_reference(ns, trials, **kw)
 
 
 def test_sweep_rows_complete():
