@@ -254,36 +254,57 @@ def block_collection_joined(g: Graph, xs, ys) -> bool:
     return False
 
 
-def _disjoint_collections(pool: list[int], k: int, f: int, counter, cap: int):
-    """Yield canonical collections of k pairwise disjoint non-empty subsets
-    of ``pool``, each of size <= f, ordered by ascending minimum element.
-    ``counter`` is a one-element list tracking enumeration nodes against
-    ``cap``."""
-    chosen: list[tuple[int, ...]] = []
+def _block_collections(pool, k: int, sizes: range, total: int | None,
+                       counter, cap: int, keep=None):
+    """Yield canonical collections of k pairwise disjoint subsets of
+    ``pool``, ordered by ascending minimum element (in pool order), each set
+    with a size in ``sizes`` and accepted by ``keep`` when that is given.
+    With ``total`` set, only collections covering exactly ``total`` pool
+    vertices are yielded.  Every candidate set is one enumeration node,
+    counted in the one-element list ``counter`` against ``cap``.  The
+    enumeration runs on an explicit stack, so k is not bounded by the
+    recursion limit."""
+    lo_size, hi_size = sizes[0], sizes[-1]
 
-    def rec(lo: int, remaining: int):
-        if remaining == 0:
-            yield tuple(chosen)
-            return
-        used = set()
-        for c in chosen:
-            used.update(c)
-        for anchor_idx in range(lo, len(pool)):
-            a = pool[anchor_idx]
-            if a in used:
-                continue
-            rest = [v for v in pool[anchor_idx + 1:] if v not in used]
-            for size in range(0, f):
-                for extra in combinations(rest, size):
+    def candidates(lo: int, used: int, left: int):
+        # the sets still to choose need `need` more vertices (at least)
+        if total is None:
+            need, fit = left * lo_size, sizes
+        else:
+            need = total - used.bit_count()
+            fit = range(max(lo_size, need - (left - 1) * hi_size),
+                        min(hi_size, need - (left - 1) * lo_size) + 1)
+        free = [j for j in range(lo, len(pool)) if not used >> j & 1]
+        for t, ai in enumerate(free):
+            rest = free[t + 1:]
+            if len(rest) < need - 1:
+                return  # later anchors leave even fewer free vertices
+            for size in fit:
+                for extra in combinations(rest, size - 1):
                     counter[0] += 1
                     if counter[0] > cap:
                         raise EnumerationCapError(
                             f"block-property enumeration exceeded cap {cap}")
-                    chosen.append((a,) + extra)
-                    yield from rec(anchor_idx + 1, remaining - 1)
-                    chosen.pop()
+                    idx = (ai,) + extra
+                    block = tuple(pool[j] for j in idx)
+                    if keep is None or keep(block):
+                        yield ai, used | mask_of(idx), block
 
-    yield from rec(0, k)
+    chosen: list[tuple[int, ...]] = []
+    stack = [candidates(0, 0, k)]
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        ai, used, block = nxt
+        if len(chosen) == k - 1:
+            yield tuple(chosen) + (block,)
+            continue
+        chosen.append(block)
+        stack.append(candidates(ai + 1, used, k - len(chosen)))
 
 
 def check_block_property(
@@ -301,16 +322,39 @@ def check_block_property(
 
     The property: for every choice of k disjoint non-empty subsets
     X_1..X_k of the A side and k disjoint non-empty subsets Y_1..Y_k of the
-    B side, all of size <= max_block_size, some pair (X_i, Y_j) is fully
+    B side, all of size <= f = max_block_size, some pair (X_i, Y_j) is fully
     joined.  Checking the single size k = ceil(epsilon * n) suffices for all
     larger collection sizes: any bad larger collection restricts to a bad
     k-collection by dropping sets, since losing sets can only lose pairs.
 
-    mode='exhaustive' enumerates every collection (refusing beyond
-    ``node_cap`` enumeration nodes); mode='sampled' draws ``trials`` random
-    collections with a generator seeded by ``seed`` and reports
-    'unknown_sampled' when no failure is seen.  A concrete failing
-    collection, however found, is returned as a witness ('falsified').
+    mode='exhaustive' decides the property exactly while enumerating the
+    X side only:
+
+    * Let CN(X_i) be the common neighbourhood of X_i in B; Y_j is joined to
+      X_i iff Y_j is inside CN(X_i).  Growing an X_i only shrinks CN(X_i),
+      so a bad collection stays bad.  Hence only X-collections covering
+      min(|A|, k * f) vertices are enumerated: every X_i of size f, or all
+      of A used.
+    * For a fixed X side let U be the union of the CN(X_i).  A Y set is bad
+      (joined to no X_i) iff it lies inside no CN(X_i).  Each B vertex
+      outside U is a bad singleton, no singleton inside U is bad, and a bad
+      Y_j that meets B - U can be swapped for one of its vertices outside
+      U, freeing the rest.  So with r = |B - U| the X side has a bad Y
+      side iff r >= k, or there are k - r disjoint subsets of U of sizes
+      2..f, none inside any CN(X_i); a small exact search finds those.
+    * For f = 1 the second case is empty and each X-collection costs one
+      popcount.
+
+    X-collections come in the canonical order of ascending minimum element
+    (lexicographic for f = 1); the first bad one is the witness, with Y the
+    bad singletons lowest in B order, then the subsets the search found.
+    Both enumerations count their candidate sets as nodes and refuse
+    (``EnumerationCapError``) beyond ``node_cap`` of them.
+
+    mode='sampled' draws ``trials`` random collections with a generator
+    seeded by ``seed`` and reports 'unknown_sampled' when no failure is
+    seen.  A concrete failing collection, however found, is returned as a
+    witness ('falsified').
     """
     epsilon = _frac(epsilon)
     k = _ceil(epsilon * n)
@@ -321,11 +365,28 @@ def check_block_property(
     if len(a_part) < k or len(b_part) < k:
         raise ValueError("sides too small for the requested collection size")
     if mode == "exhaustive":
+        f = max_block_size
+        b_mask = mask_of(b_part)
         counter = [0]
-        for xs in _disjoint_collections(a_part, k, max_block_size, counter, node_cap):
-            for ys in _disjoint_collections(b_part, k, max_block_size, counter, node_cap):
-                if not block_collection_joined(g, xs, ys):
-                    return BlockCheck("falsified", BlockWitness(xs, ys), 0, 1)
+        for xs in _block_collections(a_part, k, range(1, f + 1),
+                                     min(len(a_part), k * f), counter, node_cap):
+            cns, covered = [], 0
+            for x_i in xs:
+                cn = b_mask
+                for x in x_i:
+                    cn &= g.adj[x]
+                cns.append(cn)
+                covered |= cn
+            bad = [(y,) for y in b_part if not covered >> y & 1]
+            if len(bad) < k and f > 1:
+                inside = [y for y in b_part if covered >> y & 1]
+                packing = next(_block_collections(
+                    inside, k - len(bad), range(2, f + 1), None, counter, node_cap,
+                    keep=lambda ys: all(mask_of(ys) & ~cn for cn in cns)),
+                    ())
+                bad = sorted(bad + list(packing))
+            if len(bad) >= k:
+                return BlockCheck("falsified", BlockWitness(xs, tuple(bad[:k])), 0, 1)
         return BlockCheck("verified", None, 0, 0)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
@@ -649,8 +710,18 @@ def verify_no_l_coloring_pigeonhole(
 ) -> bool:
     """True iff no proper list coloring of the copy for ``coloring`` extends
     it: fix B to the given proper palette coloring, restrict to that copy,
-    and run the solver on the A side with neighbor colors struck out.
-    Improper-on-B or out-of-palette colorings are rejected."""
+    and strike each A vertex's B-neighbors' colors from its list.
+    Improper-on-B or out-of-palette colorings are rejected.
+
+    When the copy's A side is a clique of the glued graph, a coloring of it
+    gives its vertices pairwise distinct colors from their live lists; if
+    those lists together hold fewer colors than the clique has vertices,
+    there is none (pigeonhole), and True is returned without a search.
+    Otherwise the list-coloring solver decides.  Copies of the gadgets of
+    ``build_gadget``, ``clique_gadget`` and ``tiny_gadget`` always end in
+    the count: their A side is a clique, and an A vertex keeps exactly the
+    palette minus c(B), which has m + n - 1 - n = m - 1 colors for a proper
+    coloring c of the B clique."""
     c = tuple(coloring)
     n = len(assembly.base_b)
     if len(c) != n:
@@ -662,13 +733,17 @@ def verify_no_l_coloring_pigeonhole(
     g = assembly.graph
     i = assembly.copy_index(c)
     start, stop = assembly.a_ranges[i]
-    sub, kept = induced_subgraph(g, range(start, stop))
     punched = []
-    for new_id, v in enumerate(kept):
+    for v in range(start, stop):
         live = set(assembly.lists.lists[v])
         for b in bits(g.adj[v] & ((1 << n) - 1)):
             live.discard(c[b])
         punched.append(frozenset(live))
+    copy_mask = (1 << stop) - (1 << start)
+    if all((g.adj[v] | 1 << v) & copy_mask == copy_mask for v in range(start, stop)) \
+            and len(frozenset().union(*punched)) < stop - start:
+        return True
+    sub, _ = induced_subgraph(g, range(start, stop))
     return find_l_coloring(sub, ListAssignment.of_lists(punched)) is None
 
 

@@ -7,10 +7,13 @@ Oracle notes per section:
 * probability-bound exponents are compared against mpmath evaluations of
   the same closed forms at 50-digit precision;
 * block-property verdicts are cross-checked by a direct inline
-  enumeration over singleton collections where that is feasible;
+  enumeration over singleton collections where that is feasible, and by
+  the former X-by-Y double loop over all block collections (kept here as
+  ``_block_reference``) on small random graphs;
 * the pigeonhole verifier is exercised on every proper coloring of the
-  4-vertex fixture's B-clique, and the assembled graph is additionally
-  given to the exhaustive list-coloring solver.
+  fixtures' B-cliques and on copies of a sampled gadget, each compared with
+  the exhaustive list-coloring solver on B plus the copy, and the assembled
+  graph is additionally given to that solver.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ import math
 from fractions import Fraction as F
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kstlab import construction
 from kstlab.construction import (
@@ -47,6 +51,7 @@ from kstlab.construction import (
     verify_no_l_coloring_pigeonhole,
 )
 from kstlab.graph import (
+    Graph,
     GlueSpec,
     complete_bipartite,
     empty,
@@ -56,7 +61,7 @@ from kstlab.graph import (
     non_neighbor_count,
     permuted,
 )
-from kstlab.listcolor import find_l_coloring
+from kstlab.listcolor import ListAssignment, find_l_coloring
 
 mpmath.mp.dps = 50
 
@@ -186,6 +191,101 @@ def test_block_property_matches_singleton_oracle():
         assert got.status == want, seed
         seen.add(want)
     assert seen == {"verified", "falsified"}, "sweep failed to hit both verdicts"
+
+
+def _disjoint_collections(pool, k, f):
+    """Canonical collections of k pairwise disjoint non-empty subsets of
+    ``pool``, each of size <= f, ordered by ascending minimum element: the
+    enumerator the exhaustive block check used before it counted."""
+    chosen = []
+
+    def rec(lo, remaining):
+        if remaining == 0:
+            yield tuple(chosen)
+            return
+        used = set()
+        for c in chosen:
+            used.update(c)
+        for anchor_idx in range(lo, len(pool)):
+            a = pool[anchor_idx]
+            if a in used:
+                continue
+            rest = [v for v in pool[anchor_idx + 1:] if v not in used]
+            for size in range(0, f):
+                for extra in itertools.combinations(rest, size):
+                    chosen.append((a,) + extra)
+                    yield from rec(anchor_idx + 1, remaining - 1)
+                    chosen.pop()
+
+    yield from rec(0, k)
+
+
+def _block_reference(g, f, k):
+    """The first (xs, ys) of the X-by-Y double loop with no joined pair, or
+    None when every pair of collections has one."""
+    y_side = list(_disjoint_collections(list(g.part("B")), k, f))
+    for xs in _disjoint_collections(list(g.part("A")), k, f):
+        for ys in y_side:
+            if not block_collection_joined(g, xs, ys):
+                return xs, ys
+    return None
+
+
+@st.composite
+def _labelled_bipartite(draw):
+    n_a, n_b = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    labels = draw(st.permutations(("A",) * n_a + ("B",) * n_b))
+    a = [v for v, lab in enumerate(labels) if lab == "A"]
+    b = [v for v, lab in enumerate(labels) if lab == "B"]
+    pairs = [(x, y) for x in a for y in b]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(len(labels), [e for e, kept in zip(pairs, keep) if kept],
+                            tuple(labels))
+
+
+def _check_block_against_reference(g, f, k):
+    """Assert the exhaustive check agrees with the double loop; return its
+    status."""
+    got = check_block_property(g, f, F(k), 1, mode="exhaustive")
+    want = _block_reference(g, f, k)
+    assert got.status == ("verified" if want is None else "falsified")
+    if got.witness is not None:
+        for side, sets in (("A", got.witness.xs), ("B", got.witness.ys)):
+            flat = [v for block in sets for v in block]
+            assert len(sets) == k and len(flat) == len(set(flat))
+            assert all(1 <= len(block) <= f for block in sets)
+            assert all(g.labels[v] == side for v in flat)
+        assert not block_collection_joined(g, got.witness.xs, got.witness.ys)
+        if f == 1:
+            assert (got.witness.xs, got.witness.ys) == want
+    return got.status
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_labelled_bipartite(), f=st.sampled_from([1, 2, 3]), k=st.integers(1, 3))
+def test_block_property_matches_double_loop(g, f, k):
+    k = min(k, len(g.part("A")), len(g.part("B")))
+    _check_block_against_reference(g, f, k)
+
+
+def test_block_property_double_loop_sweep_hits_every_case():
+    # seeded sizes, block bounds and densities: both verdicts, on A sides
+    # large enough for k sets of size f and on A sides too small for them
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(400):
+        n_a, n_b = (int(x) for x in rng.integers(1, 8, size=2))
+        f, k = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        k = min(k, n_a, n_b)
+        labels = tuple(str(lab) for lab in rng.permutation(["A"] * n_a + ["B"] * n_b))
+        a = [v for v, lab in enumerate(labels) if lab == "A"]
+        b = [v for v, lab in enumerate(labels) if lab == "B"]
+        p = rng.choice([0.3, 0.7, 0.95])
+        edges = [(x, y) for x in a for y in b if rng.random() < p]
+        g = Graph.from_edges(n_a + n_b, edges, labels)
+        seen.add((_check_block_against_reference(g, f, k), n_a >= k * f))
+    assert seen == {(status, big) for status in ("verified", "falsified")
+                    for big in (True, False)}
 
 
 def test_block_property_sampled_mode():
@@ -372,6 +472,18 @@ def test_build_gadget_report_serializes():
     assert {"seed", "n", "m", "p", "degree", "blocks"} <= set(d)
 
 
+@pytest.mark.parametrize("m, n", [(11, 9), (12, 10)])
+def test_build_gadget_exhaustive_reaches_larger_n(m, n):
+    # each attempt's block verdict is re-derived from its own draw by the
+    # singleton oracle (the double loop over X and Y took 1.8 s and 2.7 s
+    # per build at these sizes)
+    for seed in range(3):
+        build = build_gadget(m, n, DESK, seed=seed, block_mode="exhaustive")
+        for rep in build.attempts:
+            g = sample_bipartite(n, DESK, rep.seed)
+            assert rep.blocks.status == _singleton_oracle(g, DESK.epsilon, n), (seed, rep.seed)
+
+
 # --- fixtures -------------------------------------------------------------------
 
 
@@ -539,6 +651,77 @@ def test_pigeonhole_false_when_punching_is_undone(tiny_assembly):
         asm, lists=type(asm.lists)(tuple(doctored)))
     assert not verify_no_l_coloring_pigeonhole(patched, c)
     assert verify_no_l_coloring_pigeonhole(asm, c)
+
+
+def _copy_colorable(asm, c):
+    """Whether the glued graph restricted to B and copy c has a list
+    coloring once B's lists are pinned to c: the question the pigeonhole
+    verifier answers, put to the exhaustive solver."""
+    n = len(asm.base_b)
+    lo, hi = asm.a_ranges[asm.copy_index(c)]
+    sub, kept = induced_subgraph(asm.graph, list(range(n)) + list(range(lo, hi)))
+    lists = [frozenset({c[v]}) if v < n else asm.lists.lists[v] for v in kept]
+    return find_l_coloring(sub, ListAssignment.of_lists(lists)) is not None
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Count the verifier's calls into the list-coloring solver."""
+    calls = []
+
+    def counted(g, lists):
+        calls.append(g.n)
+        return find_l_coloring(g, lists)
+
+    monkeypatch.setattr(construction, "find_l_coloring", counted)
+    return calls
+
+
+def test_pigeonhole_count_matches_solver(solver_calls):
+    # every copy of the three gadget families is settled by the colour count
+    # alone, and the answer is the solver's
+    cases = [build_counterexample(tiny_gadget(), 3, "all"),
+             build_counterexample(clique_gadget(2, 2), 3, "all"),
+             build_counterexample(clique_gadget(3, 3), 5, "all")]
+    for asm in cases:
+        proper = [c for c in asm.colorings if asm.proper_on_b(c)]
+        assert proper
+        for c in proper:
+            assert verify_no_l_coloring_pigeonhole(asm, c) == (not _copy_colorable(asm, c))
+    h = build_gadget(8, 6, DESK, seed=11, block_mode="exhaustive").graph
+    rng = np.random.default_rng(3)
+    colorings = [tuple(int(x) for x in rng.choice(13, 6, replace=False))
+                 for _ in range(12)]
+    asm = build_counterexample(h, 13, colorings)
+    for c in colorings:
+        assert verify_no_l_coloring_pigeonhole(asm, c)
+        assert not _copy_colorable(asm, c)
+    assert solver_calls == []
+
+
+def test_pigeonhole_solver_decides_when_a_is_not_a_clique(solver_calls):
+    # both A vertices keep the one colour B leaves free, and they are not
+    # adjacent: the count (1 colour, 2 vertices) would be wrong here
+    h = Graph.from_edges(4, [(2, 3), (0, 2), (0, 3), (1, 2), (1, 3)],
+                         ("A", "A", "B", "B"))
+    asm = build_counterexample(h, 3, "all")
+    proper = [c for c in asm.colorings if asm.proper_on_b(c)]
+    for c in proper:
+        assert not verify_no_l_coloring_pigeonhole(asm, c)
+        assert _copy_colorable(asm, c)
+    assert len(solver_calls) == len(proper) == 6
+
+
+def test_pigeonhole_solver_decides_when_b_is_not_a_clique(solver_calls):
+    # with B independent a proper coloring may repeat a colour; then the A
+    # clique keeps two live colours, as many as it has vertices
+    h = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
+                         ("A", "A", "B", "B"))
+    asm = build_counterexample(h, 3, "all")
+    for c in asm.colorings:
+        blocked = verify_no_l_coloring_pigeonhole(asm, c)
+        assert blocked == (not _copy_colorable(asm, c)) == (c[0] != c[1])
+    assert len(solver_calls) == 3  # one per repeated colour
 
 
 # --- the lower bound ---------------------------------------------------------------
