@@ -17,6 +17,7 @@ import sys
 from fractions import Fraction
 
 from kstlab.construction import (
+    AssemblyCapError,
     GadgetParams,
     build_counterexample,
     build_gadget,
@@ -62,15 +63,14 @@ def main() -> int:
         print(f"minor check K_{{{s},{t}}} on the gadget: {res.status.value} "
               f"({res.nodes_expanded} nodes)")
 
-    copies = palette ** n
-    est = copies * m + n
-    if est > 200_000:
-        print(f"assembly scale: {copies} copies (~{est} vertices) — already "
-              f"out of desk range at |B|={n}; rerun with --fixture to watch "
-              f"the solver mechanism on the 20-vertex instance")
+    try:
+        asm = build_counterexample(h, palette, "all", max_vertices=200_000)
+    except AssemblyCapError as exc:
+        print(f"{exc} — already out of desk range at |B|={n}; rerun with "
+              f"--fixture to watch the solver mechanism on the 20-vertex "
+              f"instance")
         return 0
-    asm = build_counterexample(h, palette, "all")
-    print(f"assembly: {asm.graph.n} vertices, {copies} copies, "
+    print(f"assembly: {asm.graph.n} vertices, {len(asm.colorings)} copies, "
           f"palette {palette}")
 
     proper = [c for c in asm.colorings if asm.proper_on_b(c)]

@@ -37,7 +37,6 @@ from .listcolor import (
     ChoosabilityVerdict,
     ListAssignment,
     find_l_coloring,
-    greedy_degeneracy_bound,
     is_k_choosable,
     uniform_lists,
     verify_coloring,
@@ -57,7 +56,6 @@ from .construction import (
     BlockCheck,
     BlockWitness,
     CounterexampleAssembly,
-    CounterexampleParams,
     DegreeCheck,
     EnumerationCapError,
     GadgetBuild,
@@ -91,7 +89,6 @@ __all__ = [
     "ChoosabilityVerdict",
     "CliqueGlueError",
     "CounterexampleAssembly",
-    "CounterexampleParams",
     "DegreeCheck",
     "DuplicateEdgeWarning",
     "EnumerationCapError",
@@ -125,7 +122,6 @@ __all__ = [
     "find_kst_minor",
     "find_l_coloring",
     "glue",
-    "greedy_degeneracy_bound",
     "induced_subgraph",
     "is_k_choosable",
     "model_violation",

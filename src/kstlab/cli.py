@@ -5,6 +5,8 @@ build-counterexample, bounds, experiment.  Exit codes: the check-* commands
 answer through the code (0 yes / 1 no / 2 budget or cap), 3 is usage or IO,
 and 4 is an internal error (any other exception), reported in one stderr
 line that names it; a crash is never an answer.
+Reports are human text or JSON (--format); only experiment also writes CSV,
+its default, and --format csv on any other command is a usage error (3).
 Reports embed a format_version and the full run configuration.  Every
 command runs single-threaded: --threads and --deterministic are accepted
 for compatibility, ignored, and left out of the echoed configuration.
@@ -73,9 +75,16 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return out
 
 
+def _write(args, body: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(body)
+    else:
+        sys.stdout.write(body)
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    fmt = getattr(args, "format", "human")
-    if fmt == "json":
+    if args.format == "json":
         doc = {
             "format_version": FORMAT_VERSION,
             "command": args.command,
@@ -83,16 +92,16 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             "result": payload,
         }
         body = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    elif fmt == "human":
+    else:
         body = "\n".join(text_lines) + "\n"
-    else:
-        raise ValueError(f"--format {fmt} is not supported by {args.command}")
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+    _write(args, body)
+
+
+def _gadget_params(args) -> cx.GadgetParams:
+    """--f counts only with --delta; otherwise f and delta are derived."""
+    if args.delta is None:
+        return cx.GadgetParams.derive(args.eps, args.C)
+    return cx.GadgetParams(args.eps, args.C, args.f, args.delta)
 
 
 # --- subcommand handlers -----------------------------------------------
@@ -155,11 +164,8 @@ def _cmd_check_choosable(args) -> int:
 
 
 def _cmd_build_h(args) -> int:
-    params = (cx.GadgetParams(args.eps, args.C, args.f, args.delta)
-              if args.delta is not None else
-              cx.GadgetParams.derive(args.eps, args.C))
     build = cx.build_gadget(
-        args.m, args.n, params, args.seed,
+        args.m, args.n, _gadget_params(args), args.seed,
         max_retries=args.max_retries,
         block_mode=args.mode,
         block_trials=args.trials,
@@ -228,10 +234,7 @@ def _cmd_build_counterexample(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.delta is not None:
-        params = cx.GadgetParams(args.eps, args.C, args.f, args.delta)
-    else:
-        params = cx.GadgetParams.derive(args.eps, args.C)
+    params = _gadget_params(args)
     block = cx.block_failure_exponent(args.n, params.epsilon, params.c_const,
                                       params.max_block_size, params.delta)
     degree = cx.degree_failure_exponent(args.n, params.c_const, params.delta)
@@ -272,12 +275,7 @@ def _cmd_experiment(args) -> int:
             writer.writerow([r.n, r.seed, repr(r.p), r.max_degree,
                              r.degree_pass, r.block_status, r.block_failures,
                              r.trials])
-        body = buf.getvalue()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(body)
-        else:
-            sys.stdout.write(body)
+        _write(args, buf.getvalue())
         return EXIT_YES
     payload = {"rows": [vars(r) | {"p": repr(r.p)} for r in rows]}
     frac_pass = {}
@@ -301,10 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "gadget constructions for list-chromatic lower bounds.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="human"):
+    def common(p, formats=("human", "json"), fmt_default="human"):
         p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--format", choices=["human", "json", "csv"],
-                       default=fmt_default)
+        p.add_argument("--format", choices=formats, default=fmt_default)
         p.add_argument("--threads", type=int, default=1,
                        help="ignored: every command runs single-threaded "
                             "(flag kept for command-line compatibility)")
@@ -385,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=_fraction, default=Fraction(1))
     p.add_argument("--delta", type=_fraction, default=None)
     p.add_argument("--block-trials", type=int, default=0)
-    common(p, fmt_default="csv")
+    common(p, formats=("human", "json", "csv"), fmt_default="csv")
     p.set_defaults(func=_cmd_experiment)
 
     return top

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 
 import numpy as np
@@ -108,60 +109,6 @@ class GadgetParams:
 
     def edge_probability(self, n: int) -> float:
         return float(n) ** (-float(self.delta))
-
-
-@dataclass(frozen=True)
-class CounterexampleParams:
-    """Target shape for the glued construction.
-
-    Given slack epsilon and ratio bound C with 1 <= s <= t <= C*s, the glued
-    graph uses a gadget with n = s - 1 B-vertices and
-    m = floor((1 - epsilon) * (s + t)) A-vertices, palette m + n - 1, and the
-    halved slack eps_prime = epsilon / 2 with ratio c_prime = 2C + 2.
-    ``threshold`` records the (existential, instance-dependent) minimum s
-    beyond which the asymptotic guarantees kick in; it is never fabricated,
-    only carried when a caller supplies one.
-    """
-
-    epsilon: Fraction
-    c_const: Fraction
-    s: int
-    t: int
-    threshold: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", _frac(self.epsilon))
-        object.__setattr__(self, "c_const", _frac(self.c_const))
-        if not (0 < self.epsilon < Fraction(1, 2)):
-            raise ValueError("epsilon must lie in (0, 1/2)")
-        if self.c_const < 1:
-            raise ValueError("C must be at least 1")
-        if not (2 <= self.s <= self.t):
-            raise ValueError("require 2 <= s <= t")
-        if self.t > self.c_const * self.s:
-            raise ValueError("require t <= C * s")
-        if not (self.n <= self.m <= self.c_prime * self.n):
-            raise ValueError("derived sizes must satisfy n <= m <= C' * n")
-
-    @property
-    def eps_prime(self) -> Fraction:
-        return self.epsilon / 2
-
-    @property
-    def c_prime(self) -> Fraction:
-        return 2 * self.c_const + 2
-
-    @property
-    def n(self) -> int:
-        return self.s - 1
-
-    @property
-    def m(self) -> int:
-        return _floor((1 - self.epsilon) * (self.s + self.t))
-
-    @property
-    def palette_size(self) -> int:
-        return self.m + self.n - 1
 
 
 # --- sampling and the two structural properties --------------------------
@@ -509,7 +456,6 @@ def build_gadget(
     max_retries: int = 32,
     block_mode: str = "sampled",
     block_trials: int = 2000,
-    block_node_cap: int = 2_000_000,
 ) -> GadgetBuild:
     """Sample until a bipartite draw satisfies the degree property (and the
     block property does not falsify), then return the gadget: the complement
@@ -533,7 +479,6 @@ def build_gadget(
             mode=block_mode,
             trials=block_trials,
             seed=_derived_seed(seed, r, 1),
-            node_cap=block_node_cap,
         )
         attempts.append(SampleReport(s, n, ma, params.edge_probability(n), deg, blocks))
         if deg.passed and blocks.status != "falsified":
@@ -583,11 +528,19 @@ class CounterexampleAssembly:
     colorings: tuple[tuple[int, ...], ...]
     a_ranges: tuple[tuple[int, int], ...]
 
+    @cached_property
+    def _copy_of(self) -> dict[tuple[int, ...], int]:
+        """B-coloring -> index of its first copy, built once per assembly."""
+        index: dict[tuple[int, ...], int] = {}
+        for i, c in enumerate(self.colorings):
+            index.setdefault(c, i)
+        return index
+
     def copy_index(self, coloring) -> int:
         c = tuple(coloring)
         try:
-            return self.colorings.index(c)
-        except ValueError:
+            return self._copy_of[c]
+        except KeyError:
             raise KeyError(f"no copy for B-coloring {c}") from None
 
     def proper_on_b(self, coloring) -> bool:

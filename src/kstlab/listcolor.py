@@ -175,26 +175,6 @@ def find_l_coloring(g: Graph, lists: ListAssignment) -> tuple[int, ...] | None:
     return out
 
 
-def greedy_degeneracy_bound(g: Graph) -> int:
-    """Degeneracy d of g by repeated minimum-degree removal.
-
-    Every graph is (d + 1)-choosable: color greedily in reverse removal
-    order, each vertex sees at most d colored neighbors.
-    """
-    n = g.n
-    alive = (1 << n) - 1
-    best = 0
-    for _ in range(n):
-        v_min, d_min = -1, 1 << 60
-        for v in bits(alive):
-            d = (g.adj[v] & alive).bit_count()
-            if d < d_min:
-                v_min, d_min = v, d
-        best = max(best, d_min)
-        alive ^= 1 << v_min
-    return best
-
-
 def _kernel_mask(g: Graph, mask: int, k: int) -> int:
     """Drop vertices of degree < k inside ``mask`` until none remain."""
     changed = True

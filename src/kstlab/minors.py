@@ -424,27 +424,32 @@ _ORACLE_MAX_N = 9
 _CACHE_ROW_LIMIT = 1 << 22
 
 
-@lru_cache(maxsize=16)
-def _assignment_masks(n: int, k: int) -> tuple[np.ndarray, ...]:
-    """All assignments of n vertices to k classes plus an unused pool, with
-    every class non-empty, as per-class vertex bitmasks (one column array per
-    class).  Cached; graph-independent."""
-    total = (k + 1) ** n
-    if total > _CACHE_ROW_LIMIT:
-        raise ValueError("assignment table too large to cache")
-    codes = np.arange(total, dtype=np.int64)
-    digits = np.empty((total, n), dtype=np.int64)
-    rem = codes
+def _decode(start: int, stop: int, n: int, k: int) -> tuple[np.ndarray, ...]:
+    """Per-class vertex bitmasks (one column array per class) of the
+    assignments whose base-(k+1) codes lie in [start, stop): digit v of a
+    code is vertex v's class, 0 being the unused pool.  Only assignments with
+    every class non-empty are kept."""
+    digits = np.empty((stop - start, n), dtype=np.int64)
+    rem = np.arange(start, stop, dtype=np.int64)
     for v in range(n):
         digits[:, v] = rem % (k + 1)
         rem = rem // (k + 1)
-    keep = np.ones(total, dtype=bool)
+    keep = np.ones(stop - start, dtype=bool)
     for c in range(1, k + 1):
         keep &= (digits == c).any(axis=1)
     digits = digits[keep]
     powers = 1 << np.arange(n, dtype=np.int64)
-    masks = tuple(((digits == c) * powers).sum(axis=1) for c in range(1, k + 1))
-    return masks
+    return tuple(((digits == c) * powers).sum(axis=1) for c in range(1, k + 1))
+
+
+@lru_cache(maxsize=16)
+def _assignment_masks(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """All assignments of n vertices to k non-empty classes plus an unused
+    pool, decoded by ``_decode``.  Cached; graph-independent."""
+    total = (k + 1) ** n
+    if total > _CACHE_ROW_LIMIT:
+        raise ValueError("assignment table too large to cache")
+    return _decode(0, total, n, k)
 
 
 def _mask_luts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -506,23 +511,9 @@ def oracle_has_minor(g: Graph, f: Graph) -> bool:
         masks = _assignment_masks(g.n, k)
         return _check_assignments(masks, conn, nbr, f_edges, k)
     # stream in chunks for the largest hosts
-    powers = 1 << np.arange(g.n, dtype=np.int64)
     chunk = 1 << 20
     for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        codes = np.arange(start, stop, dtype=np.int64)
-        digits = np.empty((stop - start, g.n), dtype=np.int64)
-        rem = codes
-        for v in range(g.n):
-            digits[:, v] = rem % (k + 1)
-            rem = rem // (k + 1)
-        keep = np.ones(stop - start, dtype=bool)
-        for c in range(1, k + 1):
-            keep &= (digits == c).any(axis=1)
-        if not keep.any():
-            continue
-        digits = digits[keep]
-        masks = tuple(((digits == c) * powers).sum(axis=1) for c in range(1, k + 1))
+        masks = _decode(start, min(start + chunk, total), g.n, k)
         if _check_assignments(masks, conn, nbr, f_edges, k):
             return True
     return False

@@ -31,7 +31,6 @@ from hypothesis import given, settings, strategies as st
 from kstlab import construction
 from kstlab.construction import (
     AssemblyCapError,
-    CounterexampleParams,
     DegreeCheck,
     EnumerationCapError,
     GadgetParams,
@@ -541,6 +540,15 @@ def test_assembly_copy_index_roundtrip(tiny_assembly):
     asm = tiny_assembly
     for i, c in enumerate(asm.colorings):
         assert asm.copy_index(c) == i
+    big = build_counterexample(clique_gadget(4, 4), 7, "all")
+    for i, c in enumerate(big.colorings):
+        assert big.copy_index(c) == i
+    # a repeated explicit coloring maps to its first copy
+    repeated = build_counterexample(tiny_gadget(), 3, [(0, 1), (1, 0), (0, 1)])
+    assert repeated.copy_index((0, 1)) == 0
+    assert repeated.copy_index([1, 0]) == 1
+    with pytest.raises(KeyError):
+        repeated.copy_index((2, 2))
 
 
 def test_assembly_glue_consistency(tiny_assembly):
@@ -751,18 +759,6 @@ def test_lower_bound_ratio_approaches_limit():
         devs.append(abs(F(lb.value, 3 * t) - limit))
     assert devs[-1] < devs[0]
     assert devs[-1] < F(1, 1000)
-
-
-def test_counterexample_params_validation():
-    p = CounterexampleParams(F(2, 5), F(1), 10, 10)
-    assert (p.n, p.m, p.palette_size) == (9, 12, 20)
-    assert p.eps_prime == F(1, 5)
-    with pytest.raises(ValueError):
-        CounterexampleParams(F(1, 2), F(1), 10, 10)   # eps must be < 1/2
-    with pytest.raises(ValueError):
-        CounterexampleParams(F(2, 5), F(1), 10, 9)    # t < s
-    with pytest.raises(ValueError):
-        CounterexampleParams(F(2, 5), F(1), 1, 5)     # s too small
 
 
 # --- Monte Carlo sweep ---------------------------------------------------------------

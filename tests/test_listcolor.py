@@ -23,6 +23,7 @@ from hypothesis import given, strategies as st
 
 from kstlab.graph import (
     Graph,
+    bits,
     complete,
     complete_bipartite,
     cycle,
@@ -34,7 +35,6 @@ from kstlab.listcolor import (
     ChoosabilityCapError,
     ListAssignment,
     find_l_coloring,
-    greedy_degeneracy_bound,
     is_k_choosable,
     uniform_lists,
     verify_coloring,
@@ -305,6 +305,21 @@ def test_edge_removal_preserves_choosability(g, data):
     smaller = Graph(g.n, tuple(adj), None)
     if is_k_choosable(g, 2).choosable:
         assert is_k_choosable(smaller, 2).choosable
+
+
+def greedy_degeneracy_bound(g: Graph) -> int:
+    """Degeneracy d of g by repeated minimum-degree removal.
+
+    Every graph is (d + 1)-choosable: color greedily in reverse removal
+    order, each vertex sees at most d colored neighbors.
+    """
+    alive = (1 << g.n) - 1
+    best = 0
+    for _ in range(g.n):
+        d_min, v_min = min(((g.adj[v] & alive).bit_count(), v) for v in bits(alive))
+        best = max(best, d_min)
+        alive ^= 1 << v_min
+    return best
 
 
 @given(graphs(min_n=1, max_n=7))
