@@ -138,6 +138,34 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
     vertices can never hold it together with that set's committed vertices
     in one connected set, and the empty sets of one side are
     interchangeable, so opening the first of them covers opening any.
+
+    Closures carried across nodes: a node inherits its parent's closure
+    (the component of a set's lowest vertex inside the set plus the
+    undecided vertices) and recomputes it only for a set just opened and for
+    the sets whose closure held the vertex just decided when that vertex
+    went elsewhere.  This is sound: when the vertex joins set c, the mask c
+    may grow in (its vertices plus the undecided ones) does not change, and
+    the vertex already lay in c's closure, so that closure stays; removing a
+    vertex from outside a component leaves that component as it was.
+
+    Liveness from the known side: an unlinked cross pair (a, b) where a's
+    closure is known is tested before any stale closure is computed, and
+    pruned when the neighbourhood of a's closure misses b's vertices.  This
+    needs no closure of b, and it is sound: a's closure holds every
+    undecided vertex next to it.  Say some edge joins a's closure to b's
+    closure, ending at y in b's closure.  If y is in b, the test passes.
+    Otherwise y is undecided, so y lies in a's closure.  Walk inside b's
+    closure from y to b's lowest vertex, up to the first vertex of b: every
+    vertex before it is undecided and next to a's closure, so it lies in
+    a's closure too, and that first vertex of b is in the neighbourhood of
+    a's closure.  So a pair this test prunes has no edge between the two
+    closures, and the full liveness check below would prune it as well.
+    (Growing from that neighbourhood inside b's vertices plus the undecided
+    ones reaches b only through a vertex of b already in the neighbourhood,
+    so the growth would decide nothing more.)  Afterwards the stale closures
+    are computed with the split check and every pair is checked as before.
+    A node pruned in this order is pruned in the old one (by the split check
+    or by liveness) and conversely, so the tree is the same node for node.
     """
     s, t = q.s, q.t
     k = s + t
@@ -150,25 +178,61 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
         by_deg[d] = by_deg.get(d, 0) | 1 << v
     deg_classes = [by_deg[d] for d in sorted(by_deg, reverse=True)]
 
-    def branch(und: int) -> tuple[int, list[int]] | None:
-        """The branching vertex of a node and its children (set indices, -1
-        for unused), last to try first; None when a prune closes the node."""
-        if und.bit_count() < cmask.count(0):
+    def branch(und: int, preach: list[int], pnbr: list[int], pjoins: list[int],
+               c: int) -> tuple | None:
+        """Expand a node reached by sending the parent's branching vertex to
+        set ``c`` (-1: unused).  ``preach``, ``pnbr`` and ``pjoins`` are the
+        parent's closures and the sets whose closure held that vertex.
+        Returns the node's branching vertex, its children (set indices, -1
+        for unused; last to try first), its closures and its join list; None
+        when a prune closes the node."""
+        empty = cmask.count(0)
+        if und.bit_count() < empty:
             return None
 
         # Reachability closures: a set can only ever grow inside its closure
         # through undecided vertices, so a set split across closure
         # components is dead, and a vertex outside a closure can never join.
-        reach = [0] * k
-        nbr_reach = [0] * k
-        for c in range(k):
-            cm = cmask[c]
-            if cm:
-                r, nb = closure_nbr(adj, cm & -cm, cm | und)
-                if cm & ~r:
-                    return None
-                reach[c] = r
-                nbr_reach[c] = nb
+        # The parent's closures carry over, except for a set just opened and
+        # the sets whose closure held the vertex that went elsewhere (0 marks
+        # a stale closure).
+        reach = preach[:]
+        nbr_reach = pnbr
+        stale = len(pjoins)
+        for d in pjoins:
+            if d == c:
+                stale -= 1
+            else:
+                reach[d] = 0
+        if c >= 0 and not reach[c]:
+            stale += 1
+        if stale:
+            if stale + empty < k:
+                # Some closures are known: test the unlinked cross pairs with
+                # a known side before paying for the stale closures.
+                for i in range(s):
+                    ci = cmask[i]
+                    if not ci:
+                        continue
+                    ri = reach[i]
+                    for j in range(s, k):
+                        cj = cmask[j]
+                        if not cj or cnbr[i] & cj:
+                            continue
+                        if ri:
+                            if not nbr_reach[i] & cj:
+                                return None
+                        elif reach[j] and not nbr_reach[j] & ci:
+                            return None
+            nbr_reach = pnbr[:]
+            for d in range(k):
+                cm = cmask[d]
+                if cm and not reach[d]:
+                    r, nb = closure_nbr(adj, cm & -cm, cm | und)
+                    if cm & ~r:
+                        return None
+                    reach[d] = r
+                    nbr_reach[d] = nb
 
         # Cross-pair liveness: an unlinked pair must still have a potential
         # host edge between the two closures.
@@ -199,8 +263,8 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
         vbit = pick & -pick
         v = vbit.bit_length() - 1
 
-        todo = [-1]
-        todo += [c for c in range(k - 1, -1, -1) if reach[c] & vbit]
+        joins = [c for c in range(k - 1, -1, -1) if reach[c] & vbit]
+        todo = [-1, *joins]
         e2 = next((c for c in range(s, k) if not cmask[c]), None)
         # With s == t the two sides are interchangeable, so the very first
         # set opened can be forced onto side 1.
@@ -209,13 +273,18 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
         e1 = next((c for c in range(s) if not cmask[c]), None)
         if e1 is not None:
             todo.append(e1)
-        return v, todo
+        return v, todo, reach, nbr_reach, joins
 
     nodes = 0
     # Frames: [undecided after v, 1 << v, adj[v], children left to try,
-    # set holding v now (-1: none), that set's cnbr before v joined].
+    # set holding v now (-1: none), that set's cnbr before v joined, the
+    # node's reach, nbr_reach and join list].  A child builds its own lists
+    # from its parent's, so the lists in a frame never change.
     stack: list[list] = []
     und = within
+    reach = nbr_reach = [0] * k
+    joins: list[int] = []
+    c = -1
     while True:
         if budget is not None and nodes >= budget:
             return MinorSearch(SearchStatus.BUDGET_EXHAUSTED, None, nodes, 1)
@@ -230,16 +299,17 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
             return MinorSearch(SearchStatus.FOUND,
                                BranchModel(tuple(side1), tuple(side2), g), nodes, 1)
 
-        node = branch(und) if und else None
+        node = branch(und, reach, nbr_reach, joins, c) if und else None
         if node is not None:
-            v, todo = node
-            stack.append([und ^ (1 << v), 1 << v, adj[v], todo, -1, 0])
+            v, todo, reach, nbr_reach, joins = node
+            stack.append([und ^ (1 << v), 1 << v, adj[v], todo, -1, 0,
+                          reach, nbr_reach, joins])
 
         # Undo the child last tried and apply the next one, dropping frames
         # whose children are all tried.
         while stack:
             frame = stack[-1]
-            nxt, vbit, av, todo, c, old = frame
+            nxt, vbit, av, todo, c, old, reach, nbr_reach, joins = frame
             if c >= 0:
                 cmask[c] ^= vbit
                 cnbr[c] = old

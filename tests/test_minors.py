@@ -13,14 +13,19 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kstlab.construction import tiny_gadget
+from kstlab import minors
+from kstlab.construction import GadgetParams, build_gadget, clique_gadget, tiny_gadget
 from kstlab.graph import (
     Graph,
     GlueSpec,
+    bits,
+    closure,
+    closure_nbr,
     complete,
     complete_bipartite,
     cycle,
@@ -34,6 +39,7 @@ from kstlab.graph import (
 from kstlab.minors import (
     BranchModel,
     MinorQuery,
+    MinorSearch,
     SearchStatus,
     _search,
     find_kst_minor,
@@ -380,7 +386,30 @@ def test_long_path_has_k12_without_recursion():
     q = MinorQuery(1, 2)
     res = find_kst_minor(g, q)
     assert res.status is SearchStatus.FOUND
+    assert res.nodes_expanded == 2996
     assert model_violation(g, res.model, q) is None
+
+
+def test_long_path_closure_work_stays_linear(monkeypatch):
+    # Deterministic work guard: the search carries closures across nodes,
+    # so the vertices inside all closures it computes grow linearly with the
+    # path.  Recomputing every closure at every node summed 4,495,498 here.
+    computed = []
+
+    def counted(fn, size):
+        def wrapper(*args):
+            out = fn(*args)
+            computed.append(size(out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(minors, "closure", counted(closure, int.bit_count))
+    monkeypatch.setattr(minors, "closure_nbr",
+                        counted(closure_nbr, lambda out: out[0].bit_count()))
+    res = find_kst_minor(path(1500), MinorQuery(1, 2))
+    assert res.status is SearchStatus.FOUND
+    assert res.nodes_expanded == 2996
+    assert computed and sum(computed) <= 20_000
 
 
 def _tiny_assembly(copies):
@@ -431,3 +460,163 @@ def test_invalid_model_raises_under_python_dash_o():
                           capture_output=True, text=True, timeout=60, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: search produced an invalid model")
+
+
+# --- identical tree against the search that recomputes every closure --------
+
+
+def _search_reference(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSearch:
+    """``minors._search`` as it was before closures were carried across
+    nodes: every node recomputes the reach closure of every non-empty set.
+    Kept as the reference the incremental search must match node for node."""
+    s, t = q.s, q.t
+    k = s + t
+    adj = g.adj
+    cmask = [0] * k        # vertices committed to each branch set
+    cnbr = [0] * k         # union of host neighbourhoods over each set
+    by_deg: dict[int, int] = {}
+    for v in bits(within):
+        d = (adj[v] & within).bit_count()
+        by_deg[d] = by_deg.get(d, 0) | 1 << v
+    deg_classes = [by_deg[d] for d in sorted(by_deg, reverse=True)]
+
+    def branch(und: int) -> tuple[int, list[int]] | None:
+        """The branching vertex of a node and its children (set indices, -1
+        for unused), last to try first; None when a prune closes the node."""
+        if und.bit_count() < cmask.count(0):
+            return None
+
+        # Reachability closures: a set can only ever grow inside its closure
+        # through undecided vertices, so a set split across closure
+        # components is dead, and a vertex outside a closure can never join.
+        reach = [0] * k
+        nbr_reach = [0] * k
+        for c in range(k):
+            cm = cmask[c]
+            if cm:
+                r, nb = closure_nbr(adj, cm & -cm, cm | und)
+                if cm & ~r:
+                    return None
+                reach[c] = r
+                nbr_reach[c] = nb
+
+        # Cross-pair liveness: an unlinked pair must still have a potential
+        # host edge between the two closures.
+        for i in range(s):
+            if not cmask[i]:
+                continue
+            for j in range(s, k):
+                if cmask[j] and not (cnbr[i] & cmask[j]):
+                    if not (nbr_reach[i] & reach[j]):
+                        return None
+
+        # ge[j] holds the undecided vertices inside at least j closures; the
+        # empty sets a vertex may open are the same for every vertex.
+        ge = [und]
+        for r in reach:
+            if r:
+                ge.append(0)
+                for j in range(len(ge) - 1, 0, -1):
+                    ge[j] |= ge[j - 1] & r
+        ge.append(0)
+        j = 0
+        while not (fewest := ge[j] & ~ge[j + 1]):
+            j += 1
+        for dm in deg_classes:
+            pick = fewest & dm
+            if pick:
+                break
+        vbit = pick & -pick
+        v = vbit.bit_length() - 1
+
+        todo = [-1]
+        todo += [c for c in range(k - 1, -1, -1) if reach[c] & vbit]
+        e2 = next((c for c in range(s, k) if not cmask[c]), None)
+        # With s == t the two sides are interchangeable, so the very first
+        # set opened can be forced onto side 1.
+        if e2 is not None and not (s == t and not any(cmask)):
+            todo.append(e2)
+        e1 = next((c for c in range(s) if not cmask[c]), None)
+        if e1 is not None:
+            todo.append(e1)
+        return v, todo
+
+    nodes = 0
+    # Frames: [undecided after v, 1 << v, adj[v], children left to try,
+    # set holding v now (-1: none), that set's cnbr before v joined].
+    stack: list[list] = []
+    und = within
+    while True:
+        if budget is not None and nodes >= budget:
+            return MinorSearch(SearchStatus.BUDGET_EXHAUSTED, None, nodes, 1)
+        nodes += 1
+
+        # Early success: current sets already witness the minor.
+        if (all(cmask)
+                and all(cnbr[i] & cmask[j] for i in range(s) for j in range(s, k))
+                and all(closure(adj, cm & -cm, cm) == cm for cm in cmask)):
+            side1 = sorted((frozenset(bits(cm)) for cm in cmask[:s]), key=min)
+            side2 = sorted((frozenset(bits(cm)) for cm in cmask[s:]), key=min)
+            return MinorSearch(SearchStatus.FOUND,
+                               BranchModel(tuple(side1), tuple(side2), g), nodes, 1)
+
+        node = branch(und) if und else None
+        if node is not None:
+            v, todo = node
+            stack.append([und ^ (1 << v), 1 << v, adj[v], todo, -1, 0])
+
+        # Undo the child last tried and apply the next one, dropping frames
+        # whose children are all tried.
+        while stack:
+            frame = stack[-1]
+            nxt, vbit, av, todo, c, old = frame
+            if c >= 0:
+                cmask[c] ^= vbit
+                cnbr[c] = old
+            if todo:
+                c = frame[4] = todo.pop()
+                if c >= 0:
+                    frame[5] = cnbr[c]
+                    cmask[c] |= vbit
+                    cnbr[c] |= av
+                und = nxt
+                break
+            stack.pop()
+        else:
+            return MinorSearch(SearchStatus.NOT_FOUND, None, nodes, 1)
+
+
+def _same_tree(g, q, budget):
+    got = _search(g, q, g.vertex_mask(), budget)
+    want = _search_reference(g, q, g.vertex_mask(), budget)
+    assert got == want, (g.adj, q, budget)
+    return got
+
+
+@settings(max_examples=300)
+@given(st.one_of(graphs(min_n=1, max_n=9), sparse_graphs(min_n=1, max_n=9)), st.data())
+def test_incremental_closures_keep_the_tree(g, data):
+    s = data.draw(st.integers(1, 4))
+    t = data.draw(st.integers(s, 4))
+    _same_tree(g, MinorQuery(s, t), 20_000)
+
+
+def _sampled_gadgets(count):
+    params = GadgetParams(F(5, 6), F(4, 3), 1, F(2, 3))
+    builds = (build_gadget(6, 5, params, seed) for seed in range(3 * count))
+    return [b.graph for b in builds if b.ok][:count]
+
+
+def test_incremental_closures_keep_the_tree_on_glued_hosts():
+    hosts = [_tiny_assembly(c) for c in range(2, 8)]
+    hosts += [clique_gadget(3, 3)] + _sampled_gadgets(4)
+    for g in hosts:
+        for s in range(1, 5):
+            for t in range(s, 12 - s):
+                if s + t > g.n:
+                    continue
+                q = MinorQuery(s, t)
+                full = _same_tree(g, q, 2_000)
+                if full.nodes_expanded > 1:
+                    short = _same_tree(g, q, full.nodes_expanded // 2)
+                    assert short.status is SearchStatus.BUDGET_EXHAUSTED
