@@ -36,6 +36,7 @@ from .graph import (
     complement,
     complete,
     induced_subgraph,
+    is_clique,
     mask_of,
     non_neighbor_count,
 )
@@ -692,9 +693,7 @@ def verify_no_l_coloring_pigeonhole(
         for b in bits(g.adj[v] & ((1 << n) - 1)):
             live.discard(c[b])
         punched.append(frozenset(live))
-    copy_mask = (1 << stop) - (1 << start)
-    if all((g.adj[v] | 1 << v) & copy_mask == copy_mask for v in range(start, stop)) \
-            and len(frozenset().union(*punched)) < stop - start:
+    if is_clique(g, range(start, stop)) and len(frozenset().union(*punched)) < stop - start:
         return True
     sub, _ = induced_subgraph(g, range(start, stop))
     return find_l_coloring(sub, ListAssignment.of_lists(punched)) is None

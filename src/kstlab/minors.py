@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -92,15 +93,15 @@ def model_violation(g: Graph, model: BranchModel, q: MinorQuery) -> str | None:
         if seen & m:
             return f"branch set {i} overlaps an earlier set"
         seen |= m
+    nbrs = []
     for i, m in enumerate(masks):
-        if closure(g.adj, m & -m, m) != m:
+        reach, nbr = closure_nbr(g.adj, m & -m, m)
+        if reach != m:
             return f"branch set {i} is not connected in the host"
+        nbrs.append(nbr)
     for i in range(q.s):
-        nbr = 0
-        for v in bits(masks[i]):
-            nbr |= g.adj[v]
         for j in range(q.t):
-            if not (nbr & masks[q.s + j]):
+            if not (nbrs[i] & masks[q.s + j]):
                 return f"no host edge between side1 set {i} and side2 set {j}"
     return None
 
@@ -491,60 +492,59 @@ def find_kst_minor(g: Graph, q: MinorQuery, budget: int | None = None) -> MinorS
 # --- independent oracle -------------------------------------------------
 
 _ORACLE_MAX_N = 9
-_CACHE_ROW_LIMIT = 1 << 22
+_CACHE_ROW_LIMIT = 1 << 20
+_CHUNK = 1 << 13
 
 
-def _decode(start: int, stop: int, n: int, k: int) -> tuple[np.ndarray, ...]:
-    """Per-class vertex bitmasks (one column array per class) of the
-    assignments whose base-(k+1) codes lie in [start, stop): digit v of a
-    code is vertex v's class, 0 being the unused pool.  Only assignments with
-    every class non-empty are kept."""
-    digits = np.empty((stop - start, n), dtype=np.int64)
-    rem = np.arange(start, stop, dtype=np.int64)
-    for v in range(n):
-        digits[:, v] = rem % (k + 1)
-        rem = rem // (k + 1)
-    keep = np.ones(stop - start, dtype=bool)
-    for c in range(1, k + 1):
-        keep &= (digits == c).any(axis=1)
-    digits = digits[keep]
-    powers = 1 << np.arange(n, dtype=np.int64)
-    return tuple(((digits == c) * powers).sum(axis=1) for c in range(1, k + 1))
+def _surjections(n: int, k: int) -> int:
+    """Number of assignments of n vertices to k non-empty classes plus an
+    unused pool, by inclusion-exclusion over the classes left empty."""
+    return sum((-1) ** j * comb(k, j) * (k + 1 - j) ** n for j in range(k + 1))
+
+
+def _assignment_chunks(n: int, k: int):
+    """Every assignment of n vertices to k non-empty classes plus an unused
+    pool, as ``(k, rows)`` arrays of per-class vertex bitmasks holding at
+    most ``_CHUNK`` rows each.  Assignments grow one vertex at a time on an
+    explicit stack; a partial one is dropped as soon as it has more empty
+    classes than vertices left to place."""
+    stack = [(0, np.zeros((k, 1), dtype=np.int64))]
+    while stack:
+        v, rows = stack.pop()
+        if v == n:
+            yield rows
+            continue
+        r = rows.shape[1]
+        grown = np.tile(rows, (1, k + 1))
+        for c in range(k):
+            grown[c, (c + 1) * r:(c + 2) * r] |= 1 << v
+        grown = grown[:, (grown == 0).sum(axis=0) <= n - v - 1]
+        for start in range(0, grown.shape[1], _CHUNK):
+            stack.append((v + 1, grown[:, start:start + _CHUNK]))
 
 
 @lru_cache(maxsize=16)
 def _assignment_masks(n: int, k: int) -> tuple[np.ndarray, ...]:
-    """All assignments of n vertices to k non-empty classes plus an unused
-    pool, decoded by ``_decode``.  Cached; graph-independent."""
-    total = (k + 1) ** n
-    if total > _CACHE_ROW_LIMIT:
-        raise ValueError("assignment table too large to cache")
-    return _decode(0, total, n, k)
+    """All rows of ``_assignment_chunks(n, k)``, one array per class.
+    Cached; graph-independent."""
+    rows = np.concatenate(list(_assignment_chunks(n, k)), axis=1)
+    return tuple(np.copy(row) for row in rows)
 
 
 def _mask_luts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Per-subset connectivity and neighbourhood lookup tables for g."""
+    """Per-subset connectivity and neighbourhood lookup tables for g.  A
+    subset is connected iff the walk from its lowest vertex, growing by
+    neighbours inside the subset, covers it within n - 1 steps."""
     n = g.n
-    size = 1 << n
-    adj = g.adj
-    nbr = np.zeros(size, dtype=np.int64)
-    conn = np.zeros(size, dtype=bool)
-    for m in range(1, size):
-        low = m & -m
-        nbr[m] = nbr[m ^ low] | adj[low.bit_length() - 1]
-        reach = low
-        frontier = low
-        while frontier:
-            nxt = 0
-            mm = frontier
-            while mm:
-                b = mm & -mm
-                nxt |= adj[b.bit_length() - 1]
-                mm ^= b
-            nxt &= m & ~reach
-            reach |= nxt
-            frontier = nxt
-        conn[m] = reach == m
+    nbr = np.zeros(1 << n, dtype=np.int64)
+    for v in range(n):
+        nbr[1 << v:2 << v] = nbr[:1 << v] | g.adj[v]
+    masks = np.arange(1 << n, dtype=np.int64)
+    reach = masks & -masks
+    for _ in range(n - 1):
+        reach = (reach | nbr[reach]) & masks
+    conn = reach == masks
+    conn[0] = False
     return conn, nbr
 
 
@@ -563,10 +563,9 @@ def _check_assignments(masks, conn, nbr, f_edges, k) -> bool:
 
 def oracle_has_minor(g: Graph, f: Graph) -> bool:
     """Brute-force minor test: enumerate every assignment of g's vertices to
-    |V(f)| branch classes plus an unused pool, keeping only the non-empty
-    ones, and accept if some assignment has all classes connected with a host
-    edge for every edge of f.  Exact by construction; host capped at 9
-    vertices."""
+    |V(f)| non-empty branch classes plus an unused pool, and accept if some
+    assignment has all classes connected with a host edge for every edge of
+    f.  Exact by construction; host capped at 9 vertices."""
     if g.n > _ORACLE_MAX_N:
         raise ValueError(f"oracle host cap is {_ORACLE_MAX_N} vertices, got {g.n}")
     k = f.n
@@ -576,17 +575,10 @@ def oracle_has_minor(g: Graph, f: Graph) -> bool:
         return False
     f_edges = list(f.edges())
     conn, nbr = _mask_luts(g)
-    total = (k + 1) ** g.n
-    if total <= _CACHE_ROW_LIMIT:
-        masks = _assignment_masks(g.n, k)
-        return _check_assignments(masks, conn, nbr, f_edges, k)
-    # stream in chunks for the largest hosts
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        masks = _decode(start, min(start + chunk, total), g.n, k)
-        if _check_assignments(masks, conn, nbr, f_edges, k):
-            return True
-    return False
+    if _surjections(g.n, k) <= _CACHE_ROW_LIMIT:
+        return _check_assignments(_assignment_masks(g.n, k), conn, nbr, f_edges, k)
+    return any(_check_assignments(rows, conn, nbr, f_edges, k)
+               for rows in _assignment_chunks(g.n, k))
 
 
 def kst_query_graph(q: MinorQuery) -> Graph:

@@ -13,8 +13,10 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -237,6 +239,129 @@ def test_search_agrees_with_oracle_on_all_graphs_up_to_5(all_graph_codes_by_n):
                 expected = oracle_has_minor(g, f)
                 assert (got.status is SearchStatus.FOUND) == expected, (
                     n, g.adj, q)
+
+
+# --- oracle tables against the code-decoding and per-subset BFS builders ---
+
+
+def _decode_reference(start, stop, n, k):
+    """Per-class vertex bitmasks of the assignments whose base-(k+1) codes
+    lie in [start, stop), keeping those with every class non-empty: the
+    oracle's table builder before assignments were grown vertex by vertex."""
+    digits = np.empty((stop - start, n), dtype=np.int64)
+    rem = np.arange(start, stop, dtype=np.int64)
+    for v in range(n):
+        digits[:, v] = rem % (k + 1)
+        rem = rem // (k + 1)
+    keep = np.ones(stop - start, dtype=bool)
+    for c in range(1, k + 1):
+        keep &= (digits == c).any(axis=1)
+    digits = digits[keep]
+    powers = 1 << np.arange(n, dtype=np.int64)
+    return tuple(((digits == c) * powers).sum(axis=1) for c in range(1, k + 1))
+
+
+def _mask_luts_reference(g):
+    """Connectivity and neighbourhood of every vertex subset, one BFS per
+    subset."""
+    size = 1 << g.n
+    nbr = np.zeros(size, dtype=np.int64)
+    conn = np.zeros(size, dtype=bool)
+    for m in range(1, size):
+        nbr[m] = nbr[m ^ (m & -m)] | g.adj[(m & -m).bit_length() - 1]
+        conn[m] = closure(g.adj, m & -m, m) == m
+    return conn, nbr
+
+
+def _row_codes(masks, n):
+    """One integer per assignment row: class c's mask in bits c*n.."""
+    return np.sort(sum(m << (n * c) for c, m in enumerate(masks)))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_assignment_masks_match_decoded_codes(n):
+    for k in range(1, n + 1):
+        got = minors._assignment_masks(n, k)
+        assert len(got) == k
+        assert all(len(m) == minors._surjections(n, k) for m in got)
+        total = (k + 1) ** n
+        step = 1 << 18
+        want = np.concatenate([
+            _row_codes(_decode_reference(a, min(a + step, total), n, k), n)
+            for a in range(0, total, step)])
+        got_codes = _row_codes(got, n)
+        assert np.array_equal(got_codes, np.sort(want)), (n, k)
+        assert np.all(np.diff(got_codes) > 0), (n, k)
+
+
+def test_assignment_chunks_are_bounded_and_have_no_empty_class(monkeypatch):
+    monkeypatch.setattr(minors, "_CHUNK", 5)
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            chunks = list(minors._assignment_chunks(n, k))
+            assert all(0 < c.shape[1] <= 5 and c.shape[0] == k for c in chunks)
+            assert all((c != 0).all() for c in chunks)
+            rows = np.concatenate(chunks, axis=1)
+            assert np.array_equal(_row_codes(rows, n),
+                                  _row_codes(minors._assignment_masks(n, k), n))
+
+
+def test_assignment_table_peak_memory_stays_small():
+    tracemalloc.start()
+    try:
+        minors._assignment_masks.__wrapped__(7, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20, peak
+
+
+def _assert_same_luts(g):
+    got, want = minors._mask_luts(g), _mask_luts_reference(g)
+    assert np.array_equal(got[0], want[0]), g.adj
+    assert np.array_equal(got[1], want[1]), g.adj
+
+
+def test_mask_luts_match_reference_on_all_graphs_up_to_5(all_graph_codes_by_n):
+    for gs in all_graph_codes_by_n.values():
+        for g in gs:
+            _assert_same_luts(g)
+
+
+@given(st.one_of(graphs(min_n=0, max_n=9), sparse_graphs(min_n=1, max_n=9)))
+def test_mask_luts_match_reference(g):
+    _assert_same_luts(g)
+
+
+def _small_pattern(data, n):
+    j = data.draw(st.integers(1, min(n, 5)))
+    kind = data.draw(st.sampled_from(["kst", "complete", "cycle", "path"]))
+    if kind == "kst" and j >= 2:
+        s = data.draw(st.integers(1, j // 2))
+        return complete_bipartite(s, j - s)
+    if kind == "cycle" and j >= 3:
+        return cycle(j)
+    return complete(j) if kind == "complete" else path(j)
+
+
+@given(graphs(min_n=1, max_n=7), st.data())
+def test_streamed_oracle_answers_match_cached(g, data):
+    f = _small_pattern(data, g.n)
+    cached = oracle_has_minor(g, f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minors, "_CACHE_ROW_LIMIT", 0)
+        mp.setattr(minors, "_CHUNK", 5)
+        assert oracle_has_minor(g, f) is cached, (g.adj, f.adj)
+
+
+def test_streamed_eight_class_query_on_petersen_subgraph():
+    sub, _ = induced_subgraph(petersen(), range(9))
+    q = MinorQuery(4, 4)
+    assert minors._surjections(9, 8) > minors._CACHE_ROW_LIMIT
+    found = find_kst_minor(sub, q).status is SearchStatus.FOUND
+    misses = minors._assignment_masks.cache_info().misses
+    assert oracle_has_minor(sub, kst_query_graph(q)) is found
+    assert minors._assignment_masks.cache_info().misses == misses
 
 
 # --- structural properties -------------------------------------------------
