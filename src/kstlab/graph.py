@@ -245,10 +245,14 @@ def permuted(g: Graph, perm: Iterable[int]) -> Graph:
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     m = mask_of(vertices)
-    for v in bits(m):
-        need = m & ~(1 << v)
-        if (g.adj[v] & need) != need:
+    adj = g.adj
+    r = m
+    # Inline bit loop: the pigeonhole check calls this once per glued copy.
+    while r:
+        b = r & -r
+        if (adj[b.bit_length() - 1] | b) & m != m:
             return False
+        r ^= b
     return True
 
 

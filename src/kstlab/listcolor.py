@@ -5,7 +5,8 @@ complete backtracking.  ``is_k_choosable`` decides whether every assignment
 of k-element lists admits a proper coloring.
 
 Completeness of the choosability check rests on three facts, used as exact
-reductions rather than heuristics:
+reductions rather than heuristics; a fourth skips the search for k = 2 where
+a classical theorem already answers:
 
 1. Universe bound.  An assignment over any color universe is isomorphic to
    one over at most k * |V| colors (each vertex contributes at most k), so
@@ -23,6 +24,19 @@ reductions rather than heuristics:
    in which every color supports at least two vertices is bad.  The search
    recurses over vertex-deleted subgraphs (memoized) and only enumerates
    assignments with all color supports >= 2.
+4. Two-choosable cores (Erdos-Rubin-Taylor 1979).  A connected graph is
+   2-choosable iff the graph left after repeatedly deleting degree-1
+   vertices is K_1, an even cycle, or theta_{2,2,2m} (two vertices joined by
+   internally disjoint paths of lengths 2, 2 and 2m); a graph is 2-choosable
+   iff each of its components is, since lists on different components never
+   interact.  For k = 2 the kernel of reduction 2 has minimum degree 2, so
+   each of its components is its own core, and ``_two_choosable_core``
+   recognises the even cycles and theta_{2,2,2m} among them by counting
+   edges and degrees.  When every component passes, the search for that
+   kernel is skipped and no bad assignment is reported, which is what the
+   complete search of reductions 1-3 would return; kernels that fail the
+   test are searched exactly as before, in the same order, so verdicts and
+   witnesses do not depend on this reduction.
 
 A NotChoosable verdict always carries a witness assignment on the original
 graph with lists of size exactly k, rebuilt from the failing core by padding
@@ -36,7 +50,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, bits, induced_subgraph
+from .graph import Graph, bits, closure, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -187,6 +201,50 @@ def _kernel_mask(g: Graph, mask: int, k: int) -> int:
     return mask
 
 
+def _two_choosable_core(g: Graph, mask: int) -> bool:
+    """True iff every component of g[mask] is an even cycle or theta_{2,2,2m}.
+
+    ``mask`` must induce minimum degree at least 2 (a k = 2 kernel).  Such a
+    component with |E| = |V| is a cycle.  One with |E| = |V| + 1 and maximum
+    degree 3 has exactly two vertices u, w of degree 3 and is either a theta
+    (three internally disjoint u-w paths) or two cycles joined by a u-w path.
+    u and w have two common neighbours only in a theta with two paths of
+    length 2, whose third path has |V| - 3 edges.  So the component is
+    theta_{2,2,2m} (bipartite, u and w non-adjacent) iff |V| is odd.  Even
+    cycles have |E| = |V| and theta_{2,2,2m} has |E| = |V| + 1 and maximum
+    degree 3, so no other component passes.
+    """
+    adj = g.adj
+    rest = mask
+    while rest:
+        comp = closure(adj, rest & -rest, mask)
+        rest ^= comp
+        nv = comp.bit_count()
+        ends = []
+        degree_sum = 0
+        m = comp
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
+            d = (adj[v] & comp).bit_count()
+            if d > 3:
+                return False
+            if d == 3:
+                ends.append(v)
+            degree_sum += d
+            m ^= b
+        if degree_sum == 2 * nv:
+            if nv & 1:
+                return False
+        elif degree_sum == 2 * nv + 2:
+            u, w = ends
+            if (adj[u] & adj[w] & comp).bit_count() < 2 or not nv & 1:
+                return False
+        else:
+            return False
+    return True
+
+
 def _bad_assignment_on(g: Graph, mask: int, k: int) -> dict[int, frozenset[int]] | None:
     """Search induced subgraph g[mask] for a bad k-assignment in which every
     color appears in at least two lists.  Lists are enumerated in canonical
@@ -245,6 +303,10 @@ def is_k_choosable(
 ) -> ChoosabilityVerdict:
     """Exact k-choosability by exhaustive adversary enumeration.
 
+    For k = 2, kernels whose components are all even cycles or
+    theta_{2,2,2m} are answered by the Erdos-Rubin-Taylor characterisation
+    without enumerating (reduction 4 of the module docstring).
+
     Refuses instances above the caps (default 8 vertices, k <= 3; both are
     arguments) instead of answering partially.  See the module docstring for
     the completeness argument behind the reductions used.
@@ -265,6 +327,9 @@ def is_k_choosable(
             return None
         if mask in memo:
             return memo[mask]
+        if k == 2 and _two_choosable_core(g, mask):
+            memo[mask] = None
+            return None
         hit = None
         for v in bits(mask):
             hit = bad_core(mask ^ (1 << v))

@@ -108,6 +108,21 @@ def test_closure_stays_inside_allowed():
     assert closure(g.adj, 0b10, 0b1110) == 0b1110
 
 
+@given(graphs(max_n=9), st.data())
+def test_is_clique_matches_pairwise_check(g, data):
+    vs = data.draw(st.lists(st.integers(0, max(g.n - 1, 0)), max_size=g.n))
+    start = data.draw(st.integers(0, g.n))
+    stop = data.draw(st.integers(start, g.n))
+
+    def pairwise(vertices):
+        return all(g.has_edge(u, v) for u, v in itertools.combinations(set(vertices), 2))
+
+    assert is_clique(g, vs) == pairwise(vs)
+    assert is_clique(g, (v for v in vs)) == pairwise(vs)
+    assert is_clique(g, range(start, stop)) == pairwise(range(start, stop))
+    assert is_clique(g, []) and is_clique(g, range(0))
+
+
 # --- complement ----------------------------------------------------------
 
 

@@ -31,8 +31,10 @@ from kstlab.graph import (
     path,
     petersen,
 )
+import kstlab.listcolor as lc
 from kstlab.listcolor import (
     ChoosabilityCapError,
+    ChoosabilityVerdict,
     ListAssignment,
     find_l_coloring,
     is_k_choosable,
@@ -182,17 +184,17 @@ def test_solver_keeps_the_recursive_visit_order(g, data):
 
 def test_unverified_answers_raise(monkeypatch):
     # Plain raises, not asserts, so ``python -O`` keeps them.
-    import kstlab.listcolor as lc
-
     monkeypatch.setattr(lc, "verify_coloring", lambda *args: False)
     with pytest.raises(RuntimeError):
         find_l_coloring(cycle(4), uniform_lists(4, [0, 1]))
     monkeypatch.undo()
-    # C_4 is 2-choosable, so a "bad" core of uniform lists fails the re-check.
+    # K_{3,3} is 2-colourable, so a "bad" core of uniform lists fails the
+    # re-check.  Its 5-vertex subgraphs are K_{2,3} = theta_{2,2,2}, which the
+    # core test answers, so the patched search runs once, on the full mask.
     monkeypatch.setattr(lc, "_bad_assignment_on",
                         lambda g, mask, k: {v: frozenset({0, 1}) for v in range(g.n)})
     with pytest.raises(RuntimeError, match="witness"):
-        is_k_choosable(cycle(4), 2)
+        is_k_choosable(complete_bipartite(3, 3), 2)
 
 
 def test_verify_coloring_rejects():
@@ -252,6 +254,109 @@ def test_caps_refuse_oversized_inputs():
         is_k_choosable(empty(3), 4, max_k=3)
     with pytest.raises(ValueError):
         is_k_choosable(empty(3), 0)
+
+
+# --- the Erdos-Rubin-Taylor core test --------------------------------------
+
+
+def _is_k_choosable_reference(g: Graph, k: int) -> ChoosabilityVerdict:
+    """``is_k_choosable`` without the two-choosable core test: every kernel
+    is searched, and the witness is padded the same way."""
+    memo = {}
+
+    def bad_core(mask):
+        mask = lc._kernel_mask(g, mask, k)
+        if mask == 0:
+            return None
+        if mask in memo:
+            return memo[mask]
+        hit = None
+        for v in bits(mask):
+            hit = bad_core(mask ^ (1 << v))
+            if hit is not None:
+                break
+        if hit is None:
+            hit = lc._bad_assignment_on(g, mask, k)
+        memo[mask] = hit
+        return hit
+
+    core = bad_core(g.vertex_mask())
+    if core is None:
+        return ChoosabilityVerdict(k, True, None, k * g.n)
+    nxt = max((c for l in core.values() for c in l), default=-1) + 1
+    full = []
+    for v in range(g.n):
+        if v in core:
+            full.append(core[v])
+        else:
+            full.append(frozenset(range(nxt, nxt + k)))
+            nxt += k
+    return ChoosabilityVerdict(k, False, ListAssignment(tuple(full)), k * g.n)
+
+
+def _theta(*lengths: int) -> Graph:
+    """Vertices 0 and 1 joined by internally disjoint paths of these lengths."""
+    edges, n = [], 2
+    for length in lengths:
+        inner = list(range(n, n + length - 1))
+        n += length - 1
+        chain = [0, *inner, 1]
+        edges += zip(chain, chain[1:])
+    return Graph.from_edges(n, edges)
+
+
+def _union(*parts: Graph) -> Graph:
+    edges, n = [], 0
+    for part in parts:
+        edges += [(u + n, v + n) for u, v in part.edges()]
+        n += part.n
+    return Graph.from_edges(n, edges)
+
+
+def test_core_test_keeps_every_verdict_up_to_5_vertices(all_graph_codes_by_n):
+    for n, gs in all_graph_codes_by_n.items():
+        for g in gs:
+            assert is_k_choosable(g, 2) == _is_k_choosable_reference(g, 2), g.adj
+            if n <= 4:
+                assert is_k_choosable(g, 3) == _is_k_choosable_reference(g, 3), g.adj
+
+
+@given(graphs(min_n=6, max_n=6))
+def test_core_test_keeps_every_verdict_on_6_vertices(g):
+    assert is_k_choosable(g, 2) == _is_k_choosable_reference(g, 2)
+
+
+@pytest.mark.parametrize("g", [
+    cycle(4),
+    cycle(6),
+    cycle(8),
+    complete_bipartite(2, 3),
+    _theta(2, 2, 4),
+    _union(cycle(4), cycle(4)),
+], ids=["C4", "C6", "C8", "K23", "theta224", "C4+C4"])
+def test_two_choosable_cores_skip_the_search(g, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the core test should have answered")
+
+    monkeypatch.setattr(lc, "_bad_assignment_on", refuse)
+    assert is_k_choosable(g, 2).choosable
+
+
+@pytest.mark.parametrize("g", [
+    _theta(1, 3, 3),
+    _theta(2, 4, 4),
+    complete_bipartite(2, 4),
+    complete_bipartite(3, 3),
+    Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0),
+                         (0, 4), (4, 5), (5, 6), (6, 0)]),
+    Graph.from_edges(8, [*cycle(4).edges(), (4, 5), (5, 6), (6, 7), (7, 4), (0, 4)]),
+    _union(cycle(4), cycle(3)),
+], ids=["theta133", "theta244", "K24", "K33", "C4.C4", "C4-C4", "C4+C3"])
+def test_cores_outside_the_characterisation_are_searched(g):
+    verdict = is_k_choosable(g, 2, max_vertices=9)
+    assert not verdict.choosable
+    assert all(len(l) == 2 for l in verdict.witness.lists)
+    assert find_l_coloring(g, verdict.witness) is None
 
 
 # --- cross-validation against the brute oracle ---------------------------
