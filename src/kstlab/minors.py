@@ -5,7 +5,9 @@ pairwise disjoint, non-empty, connected vertex sets, split into a side of s
 and a side of t, with at least one host edge between every cross pair.
 ``find_kst_minor`` is an exact backtracking search over such models;
 ``oracle_has_minor`` is an independent brute-force check used to validate it
-on small hosts.  Witnesses are always re-verified before being returned.
+on small hosts; it enumerates branch-class assignments up to the twin
+symmetry of the pattern, one per orbit.  Witnesses are always re-verified
+before being returned.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import comb
+from itertools import accumulate
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -502,12 +505,44 @@ def _surjections(n: int, k: int) -> int:
     return sum((-1) ** j * comb(k, j) * (k + 1 - j) ** n for j in range(k + 1))
 
 
-def _assignment_chunks(n: int, k: int):
-    """Every assignment of n vertices to k non-empty classes plus an unused
-    pool, as ``(k, rows)`` arrays of per-class vertex bitmasks holding at
-    most ``_CHUNK`` rows each.  Assignments grow one vertex at a time on an
-    explicit stack; a partial one is dropped as soon as it has more empty
-    classes than vertices left to place."""
+def _twin_groups(f: Graph) -> list[list[int]]:
+    """f's vertices split into twin classes, each in ascending order and the
+    classes in order of their lowest vertex.  Vertices u and v are twins when
+    N(u) - v == N(v) - u: the same open neighbourhood (the sides of K_{s,t})
+    or the same closed one (K_j).  Twinship is an equivalence, so comparing
+    with a class's first vertex suffices: each kind is transitive, and no
+    vertex v has both a non-adjacent twin u and an adjacent twin w, since w
+    in N(v) = N(u) puts u in N[w] = N[v], making u adjacent to v."""
+    groups: list[list[int]] = []
+    for v in range(f.n):
+        for grp in groups:
+            u = grp[0]
+            if f.adj[u] & ~(1 << v) == f.adj[v] & ~(1 << u):
+                grp.append(v)
+                break
+        else:
+            groups.append([v])
+    return groups
+
+
+def _assignment_chunks(n: int, groups: tuple[int, ...]):
+    """Every assignment of n vertices to k = sum(groups) non-empty classes
+    plus an unused pool, ordered within each group, as ``(k, rows)`` arrays
+    of per-class vertex bitmasks holding at most ``_CHUNK`` rows each.
+
+    Classes are numbered group by group; within a group the classes appear
+    in order of their lowest vertex.  Assignments grow one vertex at a time
+    on an explicit stack; a partial one is dropped as soon as it has more
+    empty classes than vertices left to place, or a class opened before its
+    group predecessor.  Classes are disjoint and non-empty, so their lowest
+    vertices differ: of the prod(g!) assignments that permute classes within
+    groups exactly one is ordered, and the table holds
+    ``_surjections(n, k) // prod(g!)`` rows.  ``groups = (1,) * k`` gives
+    every assignment.  ``oracle_has_minor`` says why one ordered
+    representative per orbit suffices."""
+    k = sum(groups)
+    opens = set(accumulate(groups, initial=0))
+    follow = np.array([c for c in range(k) if c not in opens], dtype=np.int64)
     stack = [(0, np.zeros((k, 1), dtype=np.int64))]
     while stack:
         v, rows = stack.pop()
@@ -518,17 +553,36 @@ def _assignment_chunks(n: int, k: int):
         grown = np.tile(rows, (1, k + 1))
         for c in range(k):
             grown[c, (c + 1) * r:(c + 2) * r] |= 1 << v
-        grown = grown[:, (grown == 0).sum(axis=0) <= n - v - 1]
+        keep = (grown == 0).sum(axis=0) <= n - v - 1
+        if follow.size:
+            keep &= ((grown[follow] == 0) | (grown[follow - 1] != 0)).all(axis=0)
+        grown = grown[:, keep]
         for start in range(0, grown.shape[1], _CHUNK):
             stack.append((v + 1, grown[:, start:start + _CHUNK]))
 
 
-@lru_cache(maxsize=16)
-def _assignment_masks(n: int, k: int) -> tuple[np.ndarray, ...]:
-    """All rows of ``_assignment_chunks(n, k)``, one array per class.
-    Cached; graph-independent."""
-    rows = np.concatenate(list(_assignment_chunks(n, k)), axis=1)
+@lru_cache(maxsize=64)
+def _assignment_masks(n: int, groups: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """All rows of ``_assignment_chunks(n, groups)``, one array per class.
+    Cached; graph-independent.  The cache holds every (n, groups) shape that
+    K_{s,t} queries on 5-7 vertex hosts use (27 of them) with room to spare."""
+    rows = np.concatenate(list(_assignment_chunks(n, groups)), axis=1)
     return tuple(np.copy(row) for row in rows)
+
+
+@lru_cache(maxsize=256)
+def _pattern_plan(n: int, adj: tuple[int, ...]
+                  ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], int]:
+    """For pattern rows ``adj`` on an n-vertex host: the twin group sizes,
+    the pattern's edges relabelled so each group is contiguous, and the row
+    count of its ordered assignment table."""
+    f = Graph(len(adj), adj)
+    twins = _twin_groups(f)
+    groups = tuple(len(grp) for grp in twins)
+    pos = {v: i for i, v in enumerate(v for grp in twins for v in grp)}
+    edges = tuple((pos[a], pos[b]) for a, b in f.edges())
+    rows = _surjections(n, f.n) // prod(factorial(g) for g in groups)
+    return groups, edges, rows
 
 
 def _mask_luts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -562,10 +616,19 @@ def _check_assignments(masks, conn, nbr, f_edges, k) -> bool:
 
 
 def oracle_has_minor(g: Graph, f: Graph) -> bool:
-    """Brute-force minor test: enumerate every assignment of g's vertices to
+    """Brute-force minor test: enumerate assignments of g's vertices to
     |V(f)| non-empty branch classes plus an unused pool, and accept if some
     assignment has all classes connected with a host edge for every edge of
-    f.  Exact by construction; host capped at 9 vertices."""
+    f.  Exact by construction; host capped at 9 vertices.
+
+    Only assignments ordered within f's twin groups are enumerated (see
+    ``_assignment_chunks``).  This loses no model: swapping two twins of f
+    is an automorphism of f, so permuting the classes of a model within a
+    twin group gives a model again, and every model's orbit holds one
+    ordered assignment.  Queries whose ordered table has at most
+    ``_CACHE_ROW_LIMIT`` rows use a cached table; larger ones, which arise
+    only on 9-vertex hosts with 5 to 8 classes and few twins, stream it in
+    chunks."""
     if g.n > _ORACLE_MAX_N:
         raise ValueError(f"oracle host cap is {_ORACLE_MAX_N} vertices, got {g.n}")
     k = f.n
@@ -573,12 +636,12 @@ def oracle_has_minor(g: Graph, f: Graph) -> bool:
         return True
     if g.n < k:
         return False
-    f_edges = list(f.edges())
+    groups, f_edges, rows = _pattern_plan(g.n, f.adj)
     conn, nbr = _mask_luts(g)
-    if _surjections(g.n, k) <= _CACHE_ROW_LIMIT:
-        return _check_assignments(_assignment_masks(g.n, k), conn, nbr, f_edges, k)
-    return any(_check_assignments(rows, conn, nbr, f_edges, k)
-               for rows in _assignment_chunks(g.n, k))
+    if rows <= _CACHE_ROW_LIMIT:
+        return _check_assignments(_assignment_masks(g.n, groups), conn, nbr, f_edges, k)
+    return any(_check_assignments(chunk, conn, nbr, f_edges, k)
+               for chunk in _assignment_chunks(g.n, groups))
 
 
 def kst_query_graph(q: MinorQuery) -> Graph:

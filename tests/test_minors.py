@@ -9,12 +9,15 @@ every graph with at most 5 vertices.
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
 import textwrap
 import tracemalloc
 from fractions import Fraction as F
+from functools import lru_cache
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -278,38 +281,83 @@ def _row_codes(masks, n):
     return np.sort(sum(m << (n * c) for c, m in enumerate(masks)))
 
 
+@lru_cache(maxsize=None)
+def _full_table(n, k):
+    """Every assignment of n vertices to k non-empty classes, decoded in
+    slices of 2^18 codes."""
+    total = (k + 1) ** n
+    step = 1 << 18
+    parts = [_decode_reference(a, min(a + step, total), n, k) for a in range(0, total, step)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _decoded_codes(n, k):
+    return _row_codes(_full_table(n, k), n)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_assignment_masks_match_decoded_codes(n):
     for k in range(1, n + 1):
-        got = minors._assignment_masks(n, k)
+        got = minors._assignment_masks(n, (1,) * k)
         assert len(got) == k
         assert all(len(m) == minors._surjections(n, k) for m in got)
-        total = (k + 1) ** n
-        step = 1 << 18
-        want = np.concatenate([
-            _row_codes(_decode_reference(a, min(a + step, total), n, k), n)
-            for a in range(0, total, step)])
         got_codes = _row_codes(got, n)
-        assert np.array_equal(got_codes, np.sort(want)), (n, k)
+        assert np.array_equal(got_codes, _decoded_codes(n, k)), (n, k)
         assert np.all(np.diff(got_codes) > 0), (n, k)
+
+
+def _compositions(k):
+    """Every group shape: the ordered tuples of positive sizes summing to k."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(1, k + 1):
+        for rest in _compositions(k - first):
+            yield (first,) + rest
+
+
+def _within_group_permutations(groups):
+    """Every class permutation that maps each group onto itself."""
+    starts = [sum(groups[:i]) for i in range(len(groups))]
+    per_group = [itertools.permutations(range(a, a + g)) for a, g in zip(starts, groups)]
+    for parts in itertools.product(*per_group):
+        yield [c for part in parts for c in part]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_ordered_tables_close_to_the_decoded_table(n):
+    for k in range(1, n + 1):
+        for groups in _compositions(k):
+            got = minors._assignment_masks(n, groups)
+            rows = len(got[0])
+            assert rows * prod(factorial(g) for g in groups) == minors._surjections(n, k), (
+                n, groups)
+            first = 0
+            for g in groups:
+                lows = [got[c] & -got[c] for c in range(first, first + g)]
+                assert all(np.all(a < b) for a, b in zip(lows, lows[1:])), (n, groups)
+                first += g
+            closed = np.concatenate([_row_codes([got[c] for c in perm], n)
+                                     for perm in _within_group_permutations(groups)])
+            assert np.array_equal(np.sort(closed), _decoded_codes(n, k)), (n, groups)
 
 
 def test_assignment_chunks_are_bounded_and_have_no_empty_class(monkeypatch):
     monkeypatch.setattr(minors, "_CHUNK", 5)
     for n in range(1, 7):
         for k in range(1, n + 1):
-            chunks = list(minors._assignment_chunks(n, k))
+            chunks = list(minors._assignment_chunks(n, (1,) * k))
             assert all(0 < c.shape[1] <= 5 and c.shape[0] == k for c in chunks)
             assert all((c != 0).all() for c in chunks)
             rows = np.concatenate(chunks, axis=1)
             assert np.array_equal(_row_codes(rows, n),
-                                  _row_codes(minors._assignment_masks(n, k), n))
+                                  _row_codes(minors._assignment_masks(n, (1,) * k), n))
 
 
 def test_assignment_table_peak_memory_stays_small():
     tracemalloc.start()
     try:
-        minors._assignment_masks.__wrapped__(7, 7)
+        minors._assignment_masks.__wrapped__(7, (1,) * 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -355,13 +403,88 @@ def test_streamed_oracle_answers_match_cached(g, data):
 
 
 def test_streamed_eight_class_query_on_petersen_subgraph():
+    # Twin-free 8-vertex patterns keep all 1,814,400 rows, past the cache
+    # limit, so both answers come from the streamed table.  Petersen is
+    # hypohamiltonian, so the 9-vertex subgraph has a Hamiltonian cycle and
+    # a C_8 minor; it has 12 edges, so no minor with 13 edges.
     sub, _ = induced_subgraph(petersen(), range(9))
-    q = MinorQuery(4, 4)
-    assert minors._surjections(9, 8) > minors._CACHE_ROW_LIMIT
-    found = find_kst_minor(sub, q).status is SearchStatus.FOUND
-    misses = minors._assignment_masks.cache_info().misses
-    assert oracle_has_minor(sub, kst_query_graph(q)) is found
+    ham = [0, 1, 6, 8, 5, 7, 2, 3, 4]
+    assert all(sub.has_edge(u, v) for u, v in zip(ham, ham[1:] + ham[:1]))
+    dense = Graph.from_edges(8, list(cycle(8).edges())
+                             + [(0, 4), (1, 5), (2, 6), (3, 7), (0, 2)])
+    assert sub.edge_count() == 12 and dense.edge_count() == 13
+    for f, want in ((cycle(8), True), (dense, False)):
+        groups, _, rows = minors._pattern_plan(9, f.adj)
+        assert groups == (1,) * 8 and rows > minors._CACHE_ROW_LIMIT
+        misses = minors._assignment_masks.cache_info().misses
+        assert oracle_has_minor(sub, f) is want
+        assert minors._assignment_masks.cache_info().misses == misses
+
+
+_TWIN_PATTERNS = [complete_bipartite(s, t) for s in range(1, 4) for t in range(s, 7 - s + 1)] + [
+    complete(j) for j in range(2, 6)] + [cycle(4), path(3)]
+_TWIN_FREE_PATTERNS = [path(4), cycle(5), cycle(6)]
+
+
+def test_twin_groups_of_named_patterns():
+    assert minors._twin_groups(complete_bipartite(2, 3)) == [[0, 1], [2, 3, 4]]
+    assert minors._twin_groups(complete_bipartite(1, 1)) == [[0, 1]]
+    assert minors._twin_groups(complete(4)) == [[0, 1, 2, 3]]
+    assert minors._twin_groups(cycle(4)) == [[0, 2], [1, 3]]
+    assert minors._twin_groups(path(3)) == [[0, 2], [1]]
+    for f in _TWIN_FREE_PATTERNS + [cycle(8)]:
+        assert minors._twin_groups(f) == [[v] for v in range(f.n)]
+    assert all(len(minors._twin_groups(f)) < f.n for f in _TWIN_PATTERNS)
+
+
+def test_small_exact_shapes_stay_cached():
+    # Every (host size, K_{s,t}) shape of 5-7 vertex hosts: a second sweep
+    # must find all of their tables still cached.
+    shapes = [(n, s, t) for n in range(5, 8)
+              for s in range(1, n // 2 + 1) for t in range(s, n - s + 1)]
+    assert len({(n, minors._pattern_plan(n, complete_bipartite(s, t).adj)[0])
+                for n, s, t in shapes}) == len(shapes) == 27
+    for _ in range(2):
+        misses = minors._assignment_masks.cache_info().misses
+        for n, s, t in shapes:
+            oracle_has_minor(complete(n), complete_bipartite(s, t))
     assert minors._assignment_masks.cache_info().misses == misses
+
+
+# --- twin-reduced oracle against the full-table oracle ----------------------
+
+
+def _full_table_oracle(g, f):
+    """The oracle before the twin reduction: every assignment to |V(f)|
+    non-empty classes, decoded from base-(k+1) codes, checked against
+    per-subset BFS lookup tables."""
+    k = f.n
+    if k == 0:
+        return True
+    if g.n < k:
+        return False
+    conn, nbr = _mask_luts_reference(g)
+    masks = _full_table(g.n, k)
+    ok = np.ones(len(masks[0]), dtype=bool)
+    for m in masks:
+        ok &= conn[m]
+    for a, b in f.edges():
+        ok &= (nbr[masks[a]] & masks[b]) != 0
+    return bool(ok.any())
+
+
+def test_oracle_matches_full_table_on_all_graphs_up_to_5(all_graph_codes_by_n):
+    patterns = [f for f in _TWIN_PATTERNS + _TWIN_FREE_PATTERNS if f.n <= 5]
+    for gs in all_graph_codes_by_n.values():
+        for g in gs:
+            for f in patterns:
+                assert oracle_has_minor(g, f) is _full_table_oracle(g, f), (g.adj, f.adj)
+
+
+@settings(max_examples=100)
+@given(graphs(min_n=6, max_n=7), st.sampled_from(_TWIN_PATTERNS + _TWIN_FREE_PATTERNS))
+def test_oracle_matches_full_table_on_6_and_7_vertices(g, f):
+    assert oracle_has_minor(g, f) is _full_table_oracle(g, f), (g.adj, f.adj)
 
 
 # --- structural properties -------------------------------------------------
