@@ -124,8 +124,9 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
     branching, ties by degree as in DSATUR).  Its children are, in order:
     open the first empty side-1 set, open the first empty side-2 set, join
     each non-empty set it can still reach in ascending index, leave it
-    unused.  Sets are opened lowest index first within a side, which breaks
-    the set-relabelling symmetry; with s == t the first set opened goes to
+    unused; at zero slack only the opens it fits (see below).  Sets are
+    opened lowest index first within a side, which breaks the
+    set-relabelling symmetry; with s == t the first set opened goes to
     side 1.  All prunes are sound, so NOT_FOUND is an exhaustiveness
     certificate.  ``budget`` caps node expansions; exceeding it yields
     BUDGET_EXHAUSTED.  Deterministic: equal inputs explore the identical
@@ -141,7 +142,8 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
     that vertex is a child: a set it cannot reach through undecided
     vertices can never hold it together with that set's committed vertices
     in one connected set, and the empty sets of one side are
-    interchangeable, so opening the first of them covers opening any.
+    interchangeable, so opening the first of them covers opening any.  At
+    zero slack the options dropped hold no model (argued below).
 
     Closures carried across nodes: a node inherits its parent's closure
     (the component of a set's lowest vertex inside the set plus the
@@ -170,6 +172,25 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
     are computed with the split check and every pair is checked as before.
     A node pruned in this order is pruned in the old one (by the split check
     or by liveness) and conversely, so the tree is the same node for node.
+
+    Zero slack: a node's slack is its undecided vertex count minus its empty
+    set count.  Below zero the node is dead, as every empty set needs a
+    vertex of its own.  At zero every undecided vertex must open one empty
+    set, so no vertex stays unused and no committed set grows again.  Then
+    (a) a cross pair of committed sets with no host edge stays unlinked, and
+    the node is dead; (b) a vertex that opens a side-2 set is all of that
+    set, so it must be next to every committed side-1 set, and conversely;
+    a vertex that fits neither side kills the node; (c) the branching
+    vertex gets no join and no unused child, and it opens a side only if it
+    fits that side.  Each cut subtree holds no model, the branching vertex
+    of every node left is unchanged, and the children left keep their
+    order, so the walk meets the same first model, or none, and only
+    ``nodes_expanded`` drops.  A child of a zero-slack node opens a set
+    with a vertex that fits, so its slack stays zero and the new set is
+    linked to every committed set across.  So (a) is tested only where the
+    slack first reaches zero (at the root, or after a join or an unused
+    move), and at zero slack the liveness tests, which look only at
+    unlinked pairs, are skipped.
     """
     s, t = q.s, q.t
     k = s + t
@@ -191,8 +212,36 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
         for unused; last to try first), its closures and its join list; None
         when a prune closes the node."""
         empty = cmask.count(0)
-        if und.bit_count() < empty:
+        slack = und.bit_count() - empty
+        if slack < 0:
             return None
+        # fit1 and fit2 hold the vertices that may open a side-1 or side-2
+        # set: any vertex (-1) while there is slack.
+        fit1 = fit2 = -1
+        if not slack:
+            # Zero slack: every undecided vertex opens a singleton set, so no
+            # committed set grows again.  A cross pair with no edge is dead;
+            # below the node where slack first hits zero every set opened
+            # fits, so the pairs need checking only there.
+            if c < 0 or cmask[c] & (cmask[c] - 1):
+                for i in range(s):
+                    if cmask[i]:
+                        ni = cnbr[i]
+                        for j in range(s, k):
+                            if cmask[j] and not ni & cmask[j]:
+                                return None
+            # Forward check: a vertex opening a side-2 set must be next to
+            # every committed side-1 set, and conversely.
+            fit1 = und if 0 in cmask[:s] else 0
+            fit2 = und if 0 in cmask[s:] else 0
+            for i in range(s):
+                if cmask[i]:
+                    fit2 &= cnbr[i]
+            for j in range(s, k):
+                if cmask[j]:
+                    fit1 &= cnbr[j]
+            if und & ~(fit1 | fit2):
+                return None
 
         # Reachability closures: a set can only ever grow inside its closure
         # through undecided vertices, so a set split across closure
@@ -211,7 +260,7 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
         if c >= 0 and not reach[c]:
             stale += 1
         if stale:
-            if stale + empty < k:
+            if slack and stale + empty < k:
                 # Some closures are known: test the unlinked cross pairs with
                 # a known side before paying for the stale closures.
                 for i in range(s):
@@ -239,14 +288,16 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
                     nbr_reach[d] = nb
 
         # Cross-pair liveness: an unlinked pair must still have a potential
-        # host edge between the two closures.
-        for i in range(s):
-            if not cmask[i]:
-                continue
-            for j in range(s, k):
-                if cmask[j] and not (cnbr[i] & cmask[j]):
-                    if not (nbr_reach[i] & reach[j]):
-                        return None
+        # host edge between the two closures.  At zero slack every pair is
+        # linked already.
+        if slack:
+            for i in range(s):
+                if not cmask[i]:
+                    continue
+                for j in range(s, k):
+                    if cmask[j] and not (cnbr[i] & cmask[j]):
+                        if not (nbr_reach[i] & reach[j]):
+                            return None
 
         # ge[j] holds the undecided vertices inside at least j closures; the
         # empty sets a vertex may open are the same for every vertex.
@@ -268,14 +319,15 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
         v = vbit.bit_length() - 1
 
         joins = [c for c in range(k - 1, -1, -1) if reach[c] & vbit]
-        todo = [-1, *joins]
+        # At zero slack v must open a set it fits.
+        todo = [-1, *joins] if slack else []
         e2 = next((c for c in range(s, k) if not cmask[c]), None)
         # With s == t the two sides are interchangeable, so the very first
         # set opened can be forced onto side 1.
-        if e2 is not None and not (s == t and not any(cmask)):
+        if e2 is not None and vbit & fit2 and not (s == t and not any(cmask)):
             todo.append(e2)
         e1 = next((c for c in range(s) if not cmask[c]), None)
-        if e1 is not None:
+        if e1 is not None and vbit & fit1:
             todo.append(e1)
         return v, todo, reach, nbr_reach, joins
 
@@ -642,10 +694,3 @@ def oracle_has_minor(g: Graph, f: Graph) -> bool:
         return _check_assignments(_assignment_masks(g.n, groups), conn, nbr, f_edges, k)
     return any(_check_assignments(chunk, conn, nbr, f_edges, k)
                for chunk in _assignment_chunks(g.n, groups))
-
-
-def kst_query_graph(q: MinorQuery) -> Graph:
-    """The K_{s,t} pattern graph matching ``q`` (side A first)."""
-    from .graph import complete_bipartite
-
-    return complete_bipartite(q.s, q.t)

@@ -7,6 +7,7 @@ checks write reports through ``--out`` and compare file contents.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +201,26 @@ def test_experiment_csv_shape(tmp_path):
     assert lines[1] == "n,seed,p,max_degree,degree_pass,block_status,block_failures,trials"
     assert len(lines) == 2 + 8
     assert [row.split(",")[0] for row in lines[2:]] == ["16"] * 4 + ["32"] * 4
+
+
+
+def test_readme_check_minor_examples_match_the_cli(paths, tmp_path, capsys):
+    # The README shows check-minor's human line on the Petersen graph and on
+    # the glued tiny assembly; node counts there must follow the search.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    documented = [line.removeprefix("#").strip() for line in readme.splitlines()
+                  if line.startswith("#   check-minor ")]
+    report = tmp_path / "ce.json"
+    assert main(["build-counterexample", "--fixture", "tiny", "--out", str(report),
+                 "--format", "json"]) == 0
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps(json.loads(report.read_text())["result"]["graph"]))
+    capsys.readouterr()
+    printed = []
+    for graph, s, t in [(paths / "petersen.txt", 3, 3), (tiny, 3, 3), (tiny, 2, 3)]:
+        main(["check-minor", str(graph), "--s", str(s), "--t", str(t)])
+        printed.append(capsys.readouterr().out.splitlines()[0])
+    assert printed == documented
 
 
 # --- determinism -------------------------------------------------------------

@@ -49,7 +49,6 @@ from kstlab.minors import (
     _search,
     find_kst_minor,
     kst_atoms,
-    kst_query_graph,
     model_violation,
     oracle_has_minor,
     verify_model,
@@ -67,11 +66,6 @@ def test_query_validation():
         MinorQuery(0, 3)
     with pytest.raises(ValueError):
         MinorQuery(3, 2)
-
-
-def test_query_graph_shape():
-    f = kst_query_graph(MinorQuery(2, 3))
-    assert f.n == 5 and f.edge_count() == 6
 
 
 def _bm(host, side1, side2):
@@ -145,7 +139,7 @@ def test_petersen_k33_oracle_closure_on_subgraph():
     # some 9-vertex induced subgraph of the Petersen graph already
     # carries a K_{3,3} minor, and minors transfer to supergraphs.
     g = petersen()
-    f = kst_query_graph(MinorQuery(3, 3))
+    f = complete_bipartite(3, 3)
     sub, _ = induced_subgraph(g, range(9))
     assert oracle_has_minor(sub, f)
 
@@ -235,7 +229,7 @@ def test_search_agrees_with_oracle_on_all_graphs_up_to_5(all_graph_codes_by_n):
         for q in queries:
             if q.s + q.t > 5:
                 continue
-            f = kst_query_graph(q)
+            f = complete_bipartite(q.s, q.t)
             for g in gs:
                 got = find_kst_minor(g, q)
                 assert got.status is not SearchStatus.BUDGET_EXHAUSTED
@@ -713,10 +707,13 @@ def test_invalid_model_raises_under_python_dash_o():
 # --- identical tree against the search that recomputes every closure --------
 
 
-def _search_reference(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSearch:
-    """``minors._search`` as it was before closures were carried across
-    nodes: every node recomputes the reach closure of every non-empty set.
-    Kept as the reference the incremental search must match node for node."""
+def _search_reference(g: Graph, q: MinorQuery, within: int, budget: int | None,
+                      zero_slack: bool = True) -> MinorSearch:
+    """``minors._search`` without closures carried across nodes: every node
+    recomputes the reach closure of every non-empty set.  Kept as the
+    reference the incremental search must match node for node.  With
+    ``zero_slack=False`` the zero-slack rule is off, which gives the larger
+    tree of the search before that rule; it must reach the same answers."""
     s, t = q.s, q.t
     k = s + t
     adj = g.adj
@@ -731,8 +728,29 @@ def _search_reference(g: Graph, q: MinorQuery, within: int, budget: int | None) 
     def branch(und: int) -> tuple[int, list[int]] | None:
         """The branching vertex of a node and its children (set indices, -1
         for unused), last to try first; None when a prune closes the node."""
-        if und.bit_count() < cmask.count(0):
+        slack = und.bit_count() - cmask.count(0)
+        if slack < 0:
             return None
+        fit1 = fit2 = -1
+        if zero_slack and not slack:
+            # Every undecided vertex opens a singleton set: a cross pair with
+            # no edge stays unlinked, and a vertex opening a set must be next
+            # to every committed set of the other side.
+            for i in range(s):
+                for j in range(s, k):
+                    if cmask[i] and cmask[j] and not cnbr[i] & cmask[j]:
+                        return None
+
+            def fit(empty_side, other_side):
+                if 0 not in empty_side:
+                    return 0
+                return sum(1 << u for u in bits(und)
+                           if all(adj[u] & cm for cm in other_side if cm))
+
+            fit1 = fit(cmask[:s], cmask[s:])
+            fit2 = fit(cmask[s:], cmask[:s])
+            if und & ~(fit1 | fit2):
+                return None
 
         # Reachability closures: a set can only ever grow inside its closure
         # through undecided vertices, so a set split across closure
@@ -777,15 +795,16 @@ def _search_reference(g: Graph, q: MinorQuery, within: int, budget: int | None) 
         vbit = pick & -pick
         v = vbit.bit_length() - 1
 
-        todo = [-1]
-        todo += [c for c in range(k - 1, -1, -1) if reach[c] & vbit]
+        todo = []
+        if not zero_slack or slack:
+            todo = [-1] + [c for c in range(k - 1, -1, -1) if reach[c] & vbit]
         e2 = next((c for c in range(s, k) if not cmask[c]), None)
         # With s == t the two sides are interchangeable, so the very first
         # set opened can be forced onto side 1.
-        if e2 is not None and not (s == t and not any(cmask)):
+        if e2 is not None and vbit & fit2 and not (s == t and not any(cmask)):
             todo.append(e2)
         e1 = next((c for c in range(s) if not cmask[c]), None)
-        if e1 is not None:
+        if e1 is not None and vbit & fit1:
             todo.append(e1)
         return v, todo
 
@@ -849,22 +868,83 @@ def test_incremental_closures_keep_the_tree(g, data):
     _same_tree(g, MinorQuery(s, t), 20_000)
 
 
+DESK = GadgetParams(F(5, 6), F(4, 3), 1, F(2, 3))
+
+
+@lru_cache(maxsize=None)
 def _sampled_gadgets(count):
-    params = GadgetParams(F(5, 6), F(4, 3), 1, F(2, 3))
-    builds = (build_gadget(6, 5, params, seed) for seed in range(3 * count))
-    return [b.graph for b in builds if b.ok][:count]
+    builds = (build_gadget(6, 5, DESK, seed) for seed in range(3 * count))
+    return tuple(b.graph for b in builds if b.ok)[:count]
 
 
-def test_incremental_closures_keep_the_tree_on_glued_hosts():
+def _glued_host_queries():
     hosts = [_tiny_assembly(c) for c in range(2, 8)]
-    hosts += [clique_gadget(3, 3)] + _sampled_gadgets(4)
+    hosts += [clique_gadget(3, 3), *_sampled_gadgets(4)]
     for g in hosts:
         for s in range(1, 5):
             for t in range(s, 12 - s):
-                if s + t > g.n:
-                    continue
-                q = MinorQuery(s, t)
-                full = _same_tree(g, q, 2_000)
-                if full.nodes_expanded > 1:
-                    short = _same_tree(g, q, full.nodes_expanded // 2)
-                    assert short.status is SearchStatus.BUDGET_EXHAUSTED
+                if s + t <= g.n:
+                    yield g, MinorQuery(s, t)
+
+
+def test_incremental_closures_keep_the_tree_on_glued_hosts():
+    for g, q in _glued_host_queries():
+        full = _same_tree(g, q, 2_000)
+        if full.nodes_expanded > 1:
+            short = _same_tree(g, q, full.nodes_expanded // 2)
+            assert short.status is SearchStatus.BUDGET_EXHAUSTED
+
+
+# --- zero-slack rule against the tree without it ------------------------------
+
+
+def _no_worse_than_without_zero_slack(g, q, budget):
+    """The zero-slack rule cuts only subtrees without a model and keeps the
+    order of the children left, so the answer and the model stay those of
+    the search without it, at no more nodes."""
+    got = _search(g, q, g.vertex_mask(), budget)
+    old = _search_reference(g, q, g.vertex_mask(), budget, zero_slack=False)
+    assert got.nodes_expanded <= old.nodes_expanded, (g.adj, q, budget)
+    if old.status is not SearchStatus.BUDGET_EXHAUSTED:
+        assert (got.status, got.model) == (old.status, old.model), (g.adj, q, budget)
+    return got, old
+
+
+@settings(max_examples=300)
+@given(st.one_of(graphs(min_n=1, max_n=9), sparse_graphs(min_n=1, max_n=9)), st.data())
+def test_zero_slack_keeps_answers_and_models(g, data):
+    s = data.draw(st.integers(1, 4))
+    t = data.draw(st.integers(s, 4))
+    _no_worse_than_without_zero_slack(g, MinorQuery(s, t), 20_000)
+
+
+def test_zero_slack_keeps_answers_and_models_on_glued_hosts():
+    for g, q in _glued_host_queries():
+        _no_worse_than_without_zero_slack(g, q, 2_000)
+
+
+def test_zero_slack_on_full_width_queries_of_sampled_gadgets():
+    # K_{s,11-s} on an 11-vertex gadget: every branch set is one vertex.
+    for g in _sampled_gadgets(4):
+        assert g.n == 11
+        for s in range(2, 6):
+            got, old = _no_worse_than_without_zero_slack(g, MinorQuery(s, 11 - s), None)
+            assert got.nodes_expanded < old.nodes_expanded
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_zero_slack_decides_k77_on_desk_gadgets(seed):
+    # 14 vertices and 14 branch sets: zero slack from the root.  Without the
+    # rule these searches took 24,617 (seed 11) and 28,857 (seed 12) nodes.
+    g = build_gadget(8, 6, DESK, seed=seed, block_mode="exhaustive").graph
+    res = find_kst_minor(g, MinorQuery(7, 7), budget=1_000)
+    assert res.status is SearchStatus.NOT_FOUND
+
+
+def test_zero_slack_finds_k67_on_a_desk_gadget():
+    # Without the rule this search took 332,828 nodes.
+    g = build_gadget(8, 6, DESK, seed=11, block_mode="exhaustive").graph
+    q = MinorQuery(6, 7)
+    res = find_kst_minor(g, q, budget=20_000)
+    assert res.status is SearchStatus.FOUND
+    assert model_violation(g, res.model, q) is None

@@ -39,3 +39,10 @@ def test_build_demo_script_on_a_sampled_gadget():
     proc = _run("build_demo.py", "--seed", "11")
     assert proc.returncode == 0, proc.stderr
     assert "out of desk range" in proc.stdout
+
+
+def test_build_demo_script_minor_check():
+    proc = _run("build_demo.py", "--seed", "11", "--minor-check", "7,7")
+    assert proc.returncode == 0, proc.stderr
+    assert any(line.startswith("minor check K_{7,7} on the gadget: not_found")
+               for line in proc.stdout.splitlines()), proc.stdout
