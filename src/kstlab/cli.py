@@ -1,10 +1,11 @@
 """Command line front end.
 
 Subcommands: check-minor, check-lcolor, check-choosable, build-h,
-build-counterexample, bounds, experiment.  Exit codes: the check-* commands
-answer through the code (0 yes / 1 no / 2 budget or cap), 3 is usage or IO,
+build-counterexample, bounds, experiment.  Exit codes: every command
+answers through the code (0 yes / 1 no / 2 budget or cap), 3 is usage or IO,
 and 4 is an internal error (any other exception), reported in one stderr
-line that names it; a crash is never an answer.
+line that names it; a crash is never an answer.  A cap refusal from any
+command exits 2 with a ``refused`` record, written by ``main``.
 Reports are human text or JSON (--format); only experiment also writes CSV,
 its default, and --format csv on any other command is a usage error (3).
 Reports embed a format_version and the full run configuration.  Every
@@ -98,10 +99,10 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _gadget_params(args) -> cx.GadgetParams:
-    """--f counts only with --delta; otherwise f and delta are derived."""
+    """f and delta are derived unless --delta is given; then f = 1."""
     if args.delta is None:
         return cx.GadgetParams.derive(args.eps, args.C)
-    return cx.GadgetParams(args.eps, args.C, args.f, args.delta)
+    return cx.GadgetParams(args.eps, args.C, 1, args.delta)
 
 
 # --- subcommand handlers -----------------------------------------------
@@ -143,12 +144,8 @@ def _cmd_check_lcolor(args) -> int:
 
 def _cmd_check_choosable(args) -> int:
     g = _load_graph(args.graph)
-    try:
-        verdict = lc.is_k_choosable(g, args.k,
-                                    max_vertices=args.cap_n, max_k=args.cap_k)
-    except lc.ChoosabilityCapError as exc:
-        _emit(args, {"refused": str(exc)}, [f"check-choosable: refused: {exc}"])
-        return EXIT_LIMIT
+    verdict = lc.is_k_choosable(g, args.k,
+                                max_vertices=args.cap_n, max_k=args.cap_k)
     payload = {
         "k": verdict.k,
         "choosable": verdict.choosable,
@@ -188,19 +185,10 @@ def _cmd_build_counterexample(args) -> int:
     elif args.fixture == "clique":
         h = cx.clique_gadget(2, 2)
     else:
-        if not args.graph:
-            print("build-counterexample needs --graph or --fixture", file=sys.stderr)
-            return EXIT_USAGE
         h = _load_graph(args.graph)
-    m = len(h.part(gr.LABEL_A))
-    n = len(h.part(gr.LABEL_B))
-    palette = args.palette if args.palette is not None else m + n - 1
-    try:
-        asm = cx.build_counterexample(h, palette, "all",
-                                      max_vertices=args.max_vertices)
-    except cx.AssemblyCapError as exc:
-        _emit(args, {"refused": str(exc)}, [f"build-counterexample: refused: {exc}"])
-        return EXIT_LIMIT
+    palette = len(h.part(gr.LABEL_A)) + len(h.part(gr.LABEL_B)) - 1
+    asm = cx.build_counterexample(h, palette, "all",
+                                  max_vertices=args.max_vertices)
     coloring = lc.find_l_coloring(asm.graph, asm.lists) if args.verify else None
     pigeonhole = None
     if args.verify:
@@ -278,10 +266,13 @@ def _cmd_experiment(args) -> int:
         _write(args, buf.getvalue())
         return EXIT_YES
     payload = {"rows": [vars(r) | {"p": repr(r.p)} for r in rows]}
-    frac_pass = {}
+    by_n = {}
     for r in rows:
-        frac_pass.setdefault(r.n, []).append(r.degree_pass)
-    lines = [f"n={n}: pass {sum(v)}/{len(v)}" for n, v in sorted(frac_pass.items())]
+        by_n.setdefault(r.n, []).append(r)
+    lines = [f"n={n}: p={group[0].p:.4f} "
+             f"pass {sum(r.degree_pass for r in group)}/{len(group)} "
+             f"max degree {max(r.max_degree for r in group)}"
+             for n, group in sorted(by_n.items())]
     _emit(args, payload, lines)
     return EXIT_YES
 
@@ -339,9 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_fraction, required=True)
     p.add_argument("--C", type=_fraction, required=True)
     p.add_argument("--delta", type=_fraction, default=None,
-                   help="override the derived edge exponent")
-    p.add_argument("--f", type=int, default=1,
-                   help="max block size when --delta is given")
+                   help="override the derived edge exponent (then f = 1)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-retries", type=int, default=32)
     p.add_argument("--mode", choices=["exhaustive", "sampled"],
@@ -353,11 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-counterexample",
                        help="glue gadget copies and punch lists")
-    p.add_argument("--graph", help="labeled gadget file")
-    p.add_argument("--fixture", choices=["tiny", "clique"],
-                   help="use a built-in 4-vertex gadget")
-    p.add_argument("--palette", type=int, default=None,
-                   help="palette size (default |A|+|B|-1)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", help="labeled gadget file")
+    source.add_argument("--fixture", choices=["tiny", "clique"],
+                        help="use a built-in 4-vertex gadget")
     p.add_argument("--max-vertices", type=int, default=1_000_000)
     p.add_argument("--verify", action=argparse.BooleanOptionalAction,
                    default=True)
@@ -369,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=_fraction, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=_fraction, default=None)
-    p.add_argument("--f", type=int, default=1)
     common(p)
     p.set_defaults(func=_cmd_bounds)
 
@@ -396,7 +383,14 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; remap above the result codes
         return EXIT_USAGE if exc.code else 0
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except (lc.ChoosabilityCapError, cx.AssemblyCapError,
+                cx.EnumerationCapError) as exc:
+            # Caps are ValueErrors, so this precedes the usage clause; the
+            # outer try still maps a failed --out write to a usage error.
+            _emit(args, {"refused": str(exc)}, [f"{args.command}: refused: {exc}"])
+            return EXIT_LIMIT
     except (OSError, ValueError, KeyError, gr.GraphFormatError) as exc:
         print(f"kstlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

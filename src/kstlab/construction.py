@@ -751,7 +751,6 @@ def degree_property_sweep(
     c_const,
     delta=None,
     seed: int,
-    max_block_size: int = 1,
     block_trials: int = 0,
 ) -> list[SweepRow]:
     """Seeded Monte Carlo sweep of the degree property across sizes.
@@ -762,7 +761,8 @@ def degree_property_sweep(
     sums of the draw's hit matrix.  ``delta`` defaults to the canonical
     derived value; pass an explicit Fraction to rescale the sweep.  With
     block_trials > 0 each draw is also built as a graph and gets a sampled
-    block-property check, otherwise the block columns read 'skipped'.
+    block-property check with blocks of size f = 1, otherwise the block
+    columns read 'skipped'.
     """
     epsilon = _frac(epsilon)
     c_const = _frac(c_const)
@@ -770,7 +770,7 @@ def degree_property_sweep(
         delta = GadgetParams.derive(epsilon, c_const).delta
     else:
         delta = _frac(delta)
-    params = GadgetParams(epsilon, c_const, max_block_size, delta)
+    params = GadgetParams(epsilon, c_const, 1, delta)
 
     rows = []
     for n in ns:
@@ -780,7 +780,7 @@ def degree_property_sweep(
             max_degree = int(max(hits.sum(axis=0).max(), hits.sum(axis=1).max()))
             if block_trials > 0:
                 blocks = check_block_property(
-                    _hits_graph(hits), max_block_size, epsilon, n,
+                    _hits_graph(hits), 1, epsilon, n,
                     mode="sampled", trials=block_trials,
                     seed=_derived_seed(seed, n, trial, 1))
                 status, failures, bt = blocks.status, blocks.failures, blocks.trials

@@ -414,13 +414,22 @@ def from_json_dict(data: dict) -> Graph:
         labels = data.get("labels")
     except (KeyError, TypeError) as exc:
         raise GraphFormatError(f"graph JSON missing field: {exc}") from None
-    if not isinstance(n, int):
+    # Integers are tested with ``type(x) is int``: JSON true and false load as
+    # bools, an int subclass, and are not vertex ids or counts.
+    if type(n) is not int:
         raise GraphFormatError("vertex_count must be an integer")
+    if not isinstance(edges, list):
+        raise GraphFormatError("edges must be a list of vertex pairs")
     pairs = []
     for i, e in enumerate(edges):
         if not (isinstance(e, (list, tuple)) and len(e) == 2):
             raise GraphFormatError(f"edge entry {i} is not a pair")
-        pairs.append((e[0], e[1]))
+        u, v = e
+        if type(u) is not int or type(v) is not int:
+            raise GraphFormatError(f"edge entry {i} is not a pair of integers")
+        pairs.append((u, v))
+    if labels is not None and not isinstance(labels, list):
+        raise GraphFormatError("labels must be a list")
     return Graph.from_edges(n, pairs, labels)
 
 

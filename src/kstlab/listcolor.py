@@ -71,7 +71,12 @@ class ListAssignment:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ListAssignment":
-        return cls.of_lists(data["lists"])
+        # JSON true and false load as bools, an int subclass: not colors.
+        lists = data.get("lists") if isinstance(data, dict) else None
+        if not (isinstance(lists, list) and all(type(l) is list for l in lists)
+                and all(type(c) is int for l in lists for c in l)):
+            raise ValueError('list JSON needs "lists": a list of integer color lists')
+        return cls.of_lists(lists)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

@@ -658,12 +658,12 @@ def _check_assignments(masks, conn, nbr, f_edges, k) -> bool:
     ok = conn[masks[0]]
     for c in range(1, k):
         ok = ok & conn[masks[c]]
-        if not ok.any():
-            return False
+    # One early exit, where most rows of a large streamed chunk have died; on
+    # tables of tens of rows a test per class or edge costs more than it saves.
+    if not ok.any():
+        return False
     for a, b in f_edges:
         ok = ok & ((nbr[masks[a]] & masks[b]) != 0)
-        if not ok.any():
-            return False
     return bool(ok.any())
 
 

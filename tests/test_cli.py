@@ -78,8 +78,33 @@ def test_build_counterexample_exit_codes(tmp_path, capsys):
     # cap refusal
     assert main(["build-counterexample", "--fixture", "tiny",
                  "--max-vertices", "5"]) == 2
-    # neither --graph nor --fixture
+    # neither --graph nor --fixture, or both
     assert main(["build-counterexample"]) == 3
+    assert main(["build-counterexample", "--graph", str(tmp_path / "ce.json"),
+                 "--fixture", "tiny"]) == 3
+    capsys.readouterr()
+
+
+def test_build_h_cap_refusal(tmp_path, capsys, monkeypatch):
+    # The exhaustive block check refuses past its enumeration cap (a 14 x 14
+    # draw with f = 2 does, after seconds); stand in for it here.
+    import kstlab.construction as cx
+
+    def refuse(*args, **kwargs):
+        raise cx.EnumerationCapError("block-property enumeration exceeded cap 2000000")
+
+    monkeypatch.setattr(cx, "check_block_property", refuse)
+    argv = ["build-h", "--n", "6", "--m", "8", "--eps", "5/6", "--C", "4/3",
+            "--delta", "2/3", "--seed", "11", "--mode", "exhaustive"]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == \
+        "build-h: refused: block-property enumeration exceeded cap 2000000\n"
+    assert main(argv + ["--format", "json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["command"] == "build-h"
+    assert doc["result"] == {"refused": "block-property enumeration exceeded cap 2000000"}
+    # a refusal that cannot be written out is a usage error, like any report
+    assert main(argv + ["--out", str(tmp_path / "no-such-dir" / "r.txt")]) == 3
     capsys.readouterr()
 
 
@@ -92,7 +117,33 @@ def test_usage_errors_exit_above_two(paths, capsys):
     # csv unsupported outside experiment
     assert main(["bounds", "--eps", "1/2", "--C", "1", "--n", "5",
                  "--format", "csv"]) == 3
+    # flags that never changed a result are unknown arguments
+    assert main(["build-counterexample", "--fixture", "tiny", "--palette", "3"]) == 3
+    assert main(["bounds", "--eps", "1/2", "--C", "1", "--n", "5",
+                 "--delta", "1/16", "--f", "2"]) == 3
+    assert main(["build-h", "--n", "6", "--m", "8", "--eps", "5/6", "--C", "4/3",
+                 "--delta", "2/3", "--seed", "11", "--f", "1"]) == 3
     capsys.readouterr()
+
+
+# JSON true loads as a Python bool, an int subclass; it is rejected as an
+# integer so a typo cannot become vertex or color 1.
+@pytest.mark.parametrize("edges", ['[["a", 1]]', '[[0, 1.0]]', '5', '[[0, true]]'])
+def test_malformed_graph_json_is_a_usage_error(tmp_path, capsys, edges):
+    g = tmp_path / "g.json"
+    g.write_text('{"vertex_count": 3, "edges": %s}' % edges)
+    assert main(["check-minor", str(g), "--s", "1", "--t", "1"]) == 3
+    assert "kstlab: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lists", ['{"lists": [[0, "a"], [1], [0]]}',
+                                   '{"lists": [[[0]], [1], [0]]}',
+                                   '{"lists": [[0, true], [1], [0]]}'])
+def test_malformed_lists_json_is_a_usage_error(paths, capsys, lists):
+    g = paths / "p3.txt"
+    g.write_text("n=3 m=2\n0 1\n1 2\n")
+    assert main(["check-lcolor", str(g), lists]) == 3
+    assert "kstlab: error:" in capsys.readouterr().err
 
 
 def test_internal_error_is_not_an_answer(paths, capsys, monkeypatch):
@@ -202,6 +253,17 @@ def test_experiment_csv_shape(tmp_path):
     assert len(lines) == 2 + 8
     assert [row.split(",")[0] for row in lines[2:]] == ["16"] * 4 + ["32"] * 4
 
+
+def test_experiment_human_lines(capsys):
+    # one line per size: edge probability, degree-property passes and the
+    # largest max degree over the trials
+    assert main(["experiment", "--n", "8,16,32", "--trials", "20", "--seed", "7",
+                 "--delta", "1/2", "--format", "human"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "n=8: p=0.3536 pass 5/20 max degree 7",
+        "n=16: p=0.2500 pass 17/20 max degree 11",
+        "n=32: p=0.1768 pass 20/20 max degree 14",
+    ]
 
 
 def test_readme_check_minor_examples_match_the_cli(paths, tmp_path, capsys):

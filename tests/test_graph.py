@@ -309,6 +309,13 @@ def test_edge_list_label_line():
     assert back.labels == g.labels
 
 
+def test_json_rejects_bool_counts_and_non_list_labels():
+    with pytest.raises(GraphFormatError, match="vertex_count"):
+        from_json_dict({"vertex_count": True, "edges": []})
+    with pytest.raises(GraphFormatError, match="labels"):
+        from_json_dict({"vertex_count": 2, "edges": [], "labels": 5})
+
+
 def test_json_format_version_present():
     d = to_json_dict(cycle(3))
     assert d["format_version"] == 1

@@ -21,14 +21,6 @@ def _run(script: str, *argv: str) -> subprocess.CompletedProcess:
                           check=False)
 
 
-def test_degree_sweep_script():
-    proc = _run("degree_sweep.py", "--seed", "7", "--n-stop", "64", "--trials", "50")
-    assert proc.returncode == 0, proc.stderr
-    # one line per size on the ladder 8, 16, 32, 64 under the header
-    assert [line.split()[0] for line in proc.stdout.splitlines()[1:]] \
-        == ["8", "16", "32", "64"]
-
-
 def test_build_demo_script_on_the_fixture():
     proc = _run("build_demo.py", "--seed", "11", "--fixture")
     assert proc.returncode == 0, proc.stderr
