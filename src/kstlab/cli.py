@@ -8,7 +8,11 @@ line that names it; a crash is never an answer.  A cap refusal from any
 command exits 2 with a ``refused`` record, written by ``main``.
 Reports are human text or JSON (--format); only experiment also writes CSV,
 its default, and --format csv on any other command is a usage error (3).
-Reports embed a format_version and the full run configuration.  Every
+Reports embed a format_version and the full run configuration.  The human
+report of build-h is a gadget file: its status line is a '#' comment, so
+check-minor and build-counterexample --graph read it (stdout or --out) as
+it stands.  build-counterexample always verifies its assembly: the exact
+solver and the pigeonhole check on every proper B-coloring.  Every
 command runs single-threaded: --threads and --deterministic are accepted
 for compatibility, ignored, and left out of the echoed configuration.
 """
@@ -172,7 +176,9 @@ def _cmd_build_h(args) -> int:
         "graph": gr.to_json_dict(build.graph) if build.ok else None,
         "attempts": [a.to_json_dict() for a in build.attempts],
     }
-    lines = [f"build-h: {'built after ' + str(len(build.attempts)) + ' attempt(s)' if build.ok else 'gave up'}"]
+    status = f"built after {len(build.attempts)} attempt(s)" if build.ok else "gave up"
+    # a '#' comment, so the human report of a built gadget is a gadget file
+    lines = [f"# build-h: {status}"]
     if build.ok:
         lines.append(gr.to_edge_list(build.graph).rstrip("\n"))
     _emit(args, payload, lines)
@@ -189,15 +195,9 @@ def _cmd_build_counterexample(args) -> int:
     palette = len(h.part(gr.LABEL_A)) + len(h.part(gr.LABEL_B)) - 1
     asm = cx.build_counterexample(h, palette, "all",
                                   max_vertices=args.max_vertices)
-    coloring = lc.find_l_coloring(asm.graph, asm.lists) if args.verify else None
-    pigeonhole = None
-    if args.verify:
-        proper = [c for c in asm.colorings if asm.proper_on_b(c)]
-        pigeonhole = {
-            "proper_b_colorings": len(proper),
-            "all_blocked": all(cx.verify_no_l_coloring_pigeonhole(asm, c)
-                               for c in proper),
-        }
+    coloring = lc.find_l_coloring(asm.graph, asm.lists)
+    proper = [c for c in asm.colorings if asm.proper_on_b(c)]
+    all_blocked = all(cx.verify_no_l_coloring_pigeonhole(asm, c) for c in proper)
     payload = {
         "vertices": asm.graph.n,
         "copies": len(asm.colorings),
@@ -206,19 +206,16 @@ def _cmd_build_counterexample(args) -> int:
         "lists": asm.lists.to_json_dict(),
         "verification": {
             "list_coloring_found": list(coloring) if coloring is not None else None,
-            "pigeonhole": pigeonhole,
-        } if args.verify else None,
+            "pigeonhole": {"proper_b_colorings": len(proper),
+                           "all_blocked": all_blocked},
+        },
     }
     lines = [f"build-counterexample: {asm.graph.n} vertices, "
-             f"{len(asm.colorings)} copies, palette {asm.palette_size}"]
-    if args.verify:
-        lines.append(f"list coloring found: {coloring is not None}")
-        lines.append(f"pigeonhole blocked all proper B-colorings: "
-                     f"{pigeonhole['all_blocked']}")
+             f"{len(asm.colorings)} copies, palette {asm.palette_size}",
+             f"list coloring found: {coloring is not None}",
+             f"pigeonhole blocked all proper B-colorings: {all_blocked}"]
     _emit(args, payload, lines)
-    if args.verify and coloring is not None:
-        return EXIT_NO
-    return EXIT_YES
+    return EXIT_YES if coloring is None else EXIT_NO
 
 
 def _cmd_bounds(args) -> int:
@@ -347,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--fixture", choices=["tiny", "clique"],
                         help="use a built-in 4-vertex gadget")
     p.add_argument("--max-vertices", type=int, default=1_000_000)
-    p.add_argument("--verify", action=argparse.BooleanOptionalAction,
-                   default=True)
     common(p)
     p.set_defaults(func=_cmd_build_counterexample)
 

@@ -61,6 +61,10 @@ def _floor(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
+# enumeration nodes the exhaustive block-property check may visit
+_BLOCK_NODE_CAP = 2_000_000
+
+
 class EnumerationCapError(ValueError):
     """An exhaustive enumeration was requested above its configured cap."""
 
@@ -203,14 +207,14 @@ def block_collection_joined(g: Graph, xs, ys) -> bool:
 
 
 def _block_collections(pool, k: int, sizes: range, total: int | None,
-                       counter, cap: int, keep=None):
+                       counter, keep=None):
     """Yield canonical collections of k pairwise disjoint subsets of
     ``pool``, ordered by ascending minimum element (in pool order), each set
     with a size in ``sizes`` and accepted by ``keep`` when that is given.
     With ``total`` set, only collections covering exactly ``total`` pool
     vertices are yielded.  Every candidate set is one enumeration node,
-    counted in the one-element list ``counter`` against ``cap``.  The
-    enumeration runs on an explicit stack, so k is not bounded by the
+    counted in the one-element list ``counter`` against ``_BLOCK_NODE_CAP``.
+    The enumeration runs on an explicit stack, so k is not bounded by the
     recursion limit."""
     lo_size, hi_size = sizes[0], sizes[-1]
 
@@ -230,9 +234,9 @@ def _block_collections(pool, k: int, sizes: range, total: int | None,
             for size in fit:
                 for extra in combinations(rest, size - 1):
                     counter[0] += 1
-                    if counter[0] > cap:
+                    if counter[0] > _BLOCK_NODE_CAP:
                         raise EnumerationCapError(
-                            f"block-property enumeration exceeded cap {cap}")
+                            f"block-property enumeration exceeded cap {_BLOCK_NODE_CAP}")
                     idx = (ai,) + extra
                     block = tuple(pool[j] for j in idx)
                     if keep is None or keep(block):
@@ -264,7 +268,6 @@ def check_block_property(
     mode: str = "sampled",
     trials: int = 100_000,
     seed: int | None = None,
-    node_cap: int = 2_000_000,
 ) -> BlockCheck:
     """Check the block-connection property at k = ceil(epsilon * n).
 
@@ -297,7 +300,7 @@ def check_block_property(
     (lexicographic for f = 1); the first bad one is the witness, with Y the
     bad singletons lowest in B order, then the subsets the search found.
     Both enumerations count their candidate sets as nodes and refuse
-    (``EnumerationCapError``) beyond ``node_cap`` of them.
+    (``EnumerationCapError``) beyond ``_BLOCK_NODE_CAP`` of them.
 
     mode='sampled' draws ``trials`` random collections with a generator
     seeded by ``seed`` and reports 'unknown_sampled' when no failure is
@@ -317,7 +320,7 @@ def check_block_property(
         b_mask = mask_of(b_part)
         counter = [0]
         for xs in _block_collections(a_part, k, range(1, f + 1),
-                                     min(len(a_part), k * f), counter, node_cap):
+                                     min(len(a_part), k * f), counter):
             cns, covered = [], 0
             for x_i in xs:
                 cn = b_mask
@@ -329,7 +332,7 @@ def check_block_property(
             if len(bad) < k and f > 1:
                 inside = [y for y in b_part if covered >> y & 1]
                 packing = next(_block_collections(
-                    inside, k - len(bad), range(2, f + 1), None, counter, node_cap,
+                    inside, k - len(bad), range(2, f + 1), None, counter,
                     keep=lambda ys: all(mask_of(ys) & ~cn for cn in cns)),
                     ())
                 bad = sorted(bad + list(packing))
@@ -340,6 +343,8 @@ def check_block_property(
         raise ValueError(f"unknown mode {mode!r}")
     if seed is None:
         raise ValueError("sampled mode needs a seed")
+    if trials < 1:
+        raise ValueError(f"sampled mode needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     failures = 0
     witness = None
@@ -387,6 +392,8 @@ def block_failure_exponent(n: int, epsilon, c_const, max_block_size: int, delta)
     c = float(_frac(c_const))
     d = float(_frac(delta))
     f = max_block_size
+    if n < 1:
+        raise ValueError(f"failure exponents need n >= 1, got n={n}")
     return math.log((c + 1) * n + 1) * (c + 1) * n \
         - epsilon ** 2 * float(n) ** (2 - f * f * d)
 
@@ -396,6 +403,8 @@ def degree_failure_exponent(n: int, c_const, delta) -> float:
     scale: ln((C+1)n) - n**(1-delta) / 3."""
     c = float(_frac(c_const))
     d = float(_frac(delta))
+    if n < 1:
+        raise ValueError(f"failure exponents need n >= 1, got n={n}")
     return math.log((c + 1) * n) - float(n) ** (1 - d) / 3
 
 
@@ -470,6 +479,8 @@ def build_gadget(
     ma = _floor(params.c_const * n)
     if not (1 <= n <= m <= ma):
         raise ValueError("require 1 <= n <= m <= floor(C*n)")
+    if max_retries < 1:
+        raise ValueError(f"build_gadget needs max_retries >= 1, got {max_retries}")
     attempts = []
     for r in range(max_retries):
         s = _derived_seed(seed, r)
@@ -764,6 +775,12 @@ def degree_property_sweep(
     block-property check with blocks of size f = 1, otherwise the block
     columns read 'skipped'.
     """
+    if trials < 1:
+        raise ValueError(f"the sweep needs trials >= 1, got {trials}")
+    if not ns:
+        raise ValueError("the sweep needs at least one size n")
+    if block_trials < 0:
+        raise ValueError(f"block_trials must be >= 0, got {block_trials}")
     epsilon = _frac(epsilon)
     c_const = _frac(c_const)
     if delta is None:

@@ -7,13 +7,14 @@ checks write reports through ``--out`` and compare file contents.
 from __future__ import annotations
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
 from kstlab import cycle, complete_bipartite, petersen, serialize, uniform_lists
 from kstlab.cli import build_parser, main
-from kstlab.graph import path, to_edge_list
+from kstlab.graph import parse, path, to_edge_list, to_json_dict
 from kstlab.listcolor import ListAssignment, verify_coloring
 from kstlab.minors import BranchModel, MinorQuery, model_violation
 
@@ -123,6 +124,20 @@ def test_usage_errors_exit_above_two(paths, capsys):
                  "--delta", "1/16", "--f", "2"]) == 3
     assert main(["build-h", "--n", "6", "--m", "8", "--eps", "5/6", "--C", "4/3",
                  "--delta", "2/3", "--seed", "11", "--f", "1"]) == 3
+    assert main(["build-counterexample", "--fixture", "tiny", "--verify"]) == 3
+    assert main(["build-counterexample", "--fixture", "tiny", "--no-verify"]) == 3
+    # a count that allows no attempt is not an answer
+    sweep = ["experiment", "--seed", "1", "--format", "human"]
+    assert main(sweep + ["--n", "4", "--trials", "-1"]) == 3
+    assert main(sweep + ["--n", "4", "--trials", "0"]) == 3
+    assert main(sweep + ["--n", ",", "--trials", "5"]) == 3
+    assert main(sweep + ["--n", "4", "--trials", "5", "--block-trials", "-1"]) == 3
+    assert main(["bounds", "--eps", "1/2", "--C", "1", "--n", "0"]) == 3
+    assert main(["bounds", "--eps", "1/2", "--C", "1", "--n", "-3"]) == 3
+    build_h = ["build-h", "--n", "6", "--m", "8", "--eps", "5/6", "--C", "4/3",
+               "--delta", "2/3", "--seed", "11"]
+    assert main(build_h + ["--mode", "exhaustive", "--max-retries", "0"]) == 3
+    assert main(build_h + ["--trials", "-5"]) == 3
     capsys.readouterr()
 
 
@@ -283,6 +298,40 @@ def test_readme_check_minor_examples_match_the_cli(paths, tmp_path, capsys):
         main(["check-minor", str(graph), "--s", str(s), "--t", str(t)])
         printed.append(capsys.readouterr().out.splitlines()[0])
     assert printed == documented
+
+
+def test_readme_end_to_end_chain_matches_the_cli(tmp_path, monkeypatch, capsys):
+    # Runs the README's "End to end" commands in order in one directory:
+    # build-h writes the gadget file that check-minor and
+    # build-counterexample --graph then read.  Each "[exit N]" line gives a
+    # command's exit code and the start of its report.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## End to end\n", 1)[1].split("\n## ", 1)[0]
+    col = len("#   [exit 0] ")  # where a documented report line starts
+    runs = []  # [argv, documented exit code, documented report lines]
+    for line in block.replace("\\\n", "").splitlines():
+        if line.startswith("kstlab "):
+            runs.append([shlex.split(line)[1:], None, []])
+        elif line.startswith("#   [exit "):
+            runs[-1][1] = int(line[len("#   [exit ")])
+            runs[-1][2].append(line[col:])
+        elif line.startswith("#" + " " * (col - 1)) and runs and runs[-1][2]:
+            runs[-1][2].append(line[col:])
+    assert [(argv[0], code) for argv, code, _ in runs] == [
+        ("build-h", 0), ("check-minor", 0), ("check-minor", 1),
+        ("build-counterexample", 2), ("build-counterexample", 0), ("experiment", 0)]
+    monkeypatch.chdir(tmp_path)
+    for argv, code, documented in runs:
+        assert main(argv) == code, argv
+        out = capsys.readouterr().out
+        if "--out" in argv:
+            out = Path(argv[argv.index("--out") + 1]).read_text()
+        assert out.splitlines()[:len(documented)] == documented, argv
+    # the human gadget file is the JSON report's gadget
+    build_h = runs[0][0]
+    assert main(build_h[:build_h.index("--out")] + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert to_json_dict(parse(Path("h.txt").read_text())) == doc["result"]["graph"]
 
 
 # --- determinism -------------------------------------------------------------

@@ -305,12 +305,20 @@ def test_block_property_sampled_mode():
         assert a.status == "unknown_sampled"
 
 
-def test_block_property_exhaustive_cap_refusal():
+def test_block_property_exhaustive_cap_refusal(monkeypatch):
+    monkeypatch.setattr(construction, "_BLOCK_NODE_CAP", 1000)
     params = GadgetParams(F(1, 2), F(1), 2, F(1, 16))
     g = sample_bipartite(14, params, seed=0)
-    with pytest.raises(EnumerationCapError):
-        check_block_property(g, 2, F(1, 2), 14, mode="exhaustive",
-                             node_cap=1000)
+    with pytest.raises(EnumerationCapError, match="exceeded cap 1000$"):
+        check_block_property(g, 2, F(1, 2), 14, mode="exhaustive")
+
+
+def test_block_property_sampled_needs_a_trial():
+    g = complete_bipartite(4, 4)
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="trials >= 1"):
+            check_block_property(g, 1, F(1, 2), 4, mode="sampled",
+                                 trials=trials, seed=1)
 
 
 def test_block_collection_joined_basic():
@@ -391,6 +399,14 @@ def test_exponents_eventually_negative_and_decreasing():
         assert all(b < a for a, b in zip(dtail, dtail[1:]))
 
 
+def test_exponents_reject_n_below_one():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            block_failure_exponent(n, F(1, 2), F(1), 2, F(1, 16))
+        with pytest.raises(ValueError, match=f"n={n}"):
+            degree_failure_exponent(n, F(1), F(1, 16))
+
+
 def test_degree_exponent_spot_value_at_million():
     got = degree_failure_exponent(10 ** 6, F(1), F(1, 16))
     want = float(_mp_degree_exponent(10 ** 6, F(1), F(1, 16)))
@@ -450,6 +466,9 @@ def test_build_gadget_validates_sizes():
         build_gadget(5, 6, DESK, seed=0)       # m < n
     with pytest.raises(ValueError):
         build_gadget(9, 6, DESK, seed=0)       # m > floor(C*n) = 8
+    # no attempt at all would read as "gave up"
+    with pytest.raises(ValueError, match="max_retries >= 1"):
+        build_gadget(8, 6, DESK, seed=0, max_retries=0)
 
 
 def test_build_gadget_minor_status_is_informative():
@@ -810,6 +829,17 @@ def test_sweep_matches_per_trial_graph_path(ns, trials, epsilon, c_const, delta,
     kw = dict(epsilon=epsilon, c_const=c_const, delta=delta, seed=seed,
               block_trials=block_trials)
     assert degree_property_sweep(ns, trials, **kw) == _sweep_reference(ns, trials, **kw)
+
+
+def test_sweep_rejects_counts_that_allow_no_attempt():
+    kw = dict(epsilon=F(1, 2), c_const=F(1), delta=F(1, 2), seed=5)
+    for ns, trials in (([8], 0), ([8], -1), ([], 3)):
+        with pytest.raises(ValueError):
+            degree_property_sweep(ns, trials, **kw)
+    with pytest.raises(ValueError, match="block_trials"):
+        degree_property_sweep([8], 3, block_trials=-1, **kw)
+    # block_trials = 0 still means the block columns are skipped
+    assert degree_property_sweep([8], 1, block_trials=0, **kw)[0].block_status == "skipped"
 
 
 def test_sweep_rows_complete():
