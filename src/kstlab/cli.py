@@ -11,10 +11,13 @@ its default, and --format csv on any other command is a usage error (3).
 Reports embed a format_version and the full run configuration.  The human
 report of build-h is a gadget file: its status line is a '#' comment, so
 check-minor and build-counterexample --graph read it (stdout or --out) as
-it stands.  build-counterexample always verifies its assembly: the exact
-solver and the pigeonhole check on every proper B-coloring.  Every
-command runs single-threaded: --threads and --deterministic are accepted
-for compatibility, ignored, and left out of the echoed configuration.
+it stands.  build-h takes --trials in sampled mode only (default 2000);
+with --mode exhaustive, which draws nothing, --trials is a usage error and
+the echoed trials is null.  build-counterexample always verifies its
+assembly: the exact solver and the pigeonhole check on every proper
+B-coloring.  Every command runs single-threaded: --threads and
+--deterministic are accepted for compatibility, ignored, and left out of
+the echoed configuration.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ EXIT_NO = 1
 EXIT_LIMIT = 2
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
+
+SAMPLED_TRIALS = 2000  # build-h --mode sampled default
 
 
 def _fraction(text: str) -> Fraction:
@@ -165,11 +170,17 @@ def _cmd_check_choosable(args) -> int:
 
 
 def _cmd_build_h(args) -> int:
+    if args.mode == "exhaustive":
+        if args.trials is not None:
+            raise ValueError("--trials sets the sampled block check; "
+                             "--mode exhaustive reads no trials")
+    elif args.trials is None:
+        args.trials = SAMPLED_TRIALS
     build = cx.build_gadget(
         args.m, args.n, _gadget_params(args), args.seed,
         max_retries=args.max_retries,
         block_mode=args.mode,
-        block_trials=args.trials,
+        block_trials=args.trials,  # None in exhaustive mode, which reads none
     )
     payload = {
         "built": build.ok,
@@ -332,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-retries", type=int, default=32)
     p.add_argument("--mode", choices=["exhaustive", "sampled"],
                    default="sampled", help="block-property check mode")
-    p.add_argument("--trials", type=int, default=2000,
-                   help="sampled block-property trials per attempt")
+    p.add_argument("--trials", type=int, default=None,
+                   help=f"sampled block-property trials per attempt (default "
+                        f"{SAMPLED_TRIALS}; not accepted with --mode exhaustive)")
     common(p)
     p.set_defaults(func=_cmd_build_h)
 

@@ -1,8 +1,14 @@
 """List coloring and exact k-choosability checking.
 
 ``find_l_coloring`` decides L-colorability for one list assignment by
-complete backtracking.  ``is_k_choosable`` decides whether every assignment
-of k-element lists admits a proper coloring.
+complete backtracking with forward checking.  Its state is color-major: per
+color, the bitmask of vertices that still have it live, and per count j, the
+mask of vertices with exactly j live colors.  One AND strikes a color from
+every uncolored neighbor, the count masks give the branching vertex (fewest
+live colors, lowest id, zero and one tied), and a node costs a few big-int
+operations per list size instead of a pass over the vertices.
+``is_k_choosable`` decides whether every assignment of k-element lists
+admits a proper coloring.
 
 Completeness of the choosability check rests on three facts, used as exact
 reductions rather than heuristics; a fourth skips the search for k = 2 where
@@ -100,95 +106,137 @@ class ChoosabilityCapError(ValueError):
 
 
 def verify_coloring(g: Graph, lists: ListAssignment, coloring) -> bool:
-    """True iff ``coloring`` is proper and pointwise inside ``lists``."""
+    """True iff ``coloring`` is proper and pointwise inside ``lists``.
+
+    Properness is checked per color class: no vertex is adjacent to a
+    vertex of its own class, one AND per vertex."""
     if len(lists) != g.n or len(coloring) != g.n:
         return False
-    for v in range(g.n):
-        if coloring[v] not in lists.lists[v]:
+    classes: dict = {}
+    for v, c in enumerate(coloring):
+        if c not in lists.lists[v]:
             return False
-    for u in range(g.n):
-        for v in bits(g.adj[u] >> (u + 1)):
-            if coloring[u] == coloring[u + 1 + v]:
-                return False
+        classes[c] = classes.get(c, 0) | 1 << v
+    adj = g.adj
+    for v, c in enumerate(coloring):
+        if adj[v] & classes[c]:
+            return False
     return True
 
 
 def find_l_coloring(g: Graph, lists: ListAssignment) -> tuple[int, ...] | None:
     """Complete backtracking L-coloring search.
 
-    Picks the uncolored vertex with the fewest live colors (lowest id on
-    ties), forward-checks neighbors, and tries colors in ascending order, so
-    the result is deterministic.  The backtracking keeps an explicit stack,
-    so depth is not bounded by the interpreter's recursion limit.  Returns a
-    proper in-list coloring, re-checked by ``verify_coloring`` (a failed
-    check raises RuntimeError), or None, and None is an exhaustiveness
-    certificate.
+    Branches on the uncolored vertex with the fewest live colors, lowest id
+    on ties, where zero and one live color tie (so the lowest-id vertex with
+    at most one goes first; one with none ends the branch).  Tries its
+    colors in ascending order and forward-checks its neighbors, so the
+    result is deterministic.
+
+    The state is color-major.  ``has[c]`` is the bitmask of vertices with
+    color c live and ``exact[j]`` the mask of vertices with exactly j live
+    colors; both are read under the uncolored mask.  Coloring v with c
+    strikes c from every uncolored neighbor with one AND, ``S = adj[v] &
+    uncolored & has[c]; has[c] ^= S``, and moves ``exact[j] & S`` to
+    ``exact[j - 1]`` once per j; the frame keeps S for the undo.  The
+    branching vertex is the lowest bit of ``(exact[0] | exact[1]) &
+    uncolored`` if that is non-empty, else of the first non-empty
+    ``exact[j] & uncolored``.  A node therefore costs a few big-int
+    operations per list size, and none walks the vertices one by one.
+
+    The backtracking keeps an explicit stack, so depth is not bounded by the
+    interpreter's recursion limit.  Returns a proper in-list coloring,
+    re-checked by ``verify_coloring`` (a failed check raises RuntimeError),
+    or None, and None is an exhaustiveness certificate.
     """
     if len(lists) != g.n:
         raise ValueError("assignment length differs from vertex count")
     n = g.n
     if n == 0:
         return ()
-    if any(not l for l in lists.lists):
+    L = lists.lists
+    if not all(L):
         return None
-    universe = sorted(set().union(*lists.lists))
+    universe = sorted(set().union(*L))
     idx = {c: i for i, c in enumerate(universe)}
-    live = [0] * n
-    for v in range(n):
-        for c in lists.lists[v]:
-            live[v] |= 1 << idx[c]
+    top = max(map(len, L))
+    has = [0] * len(universe)
+    exact = [0] * (top + 1)
+    own = [0] * n  # each vertex's list as a mask of colour indices
+    for v, l in enumerate(L):
+        b = 1 << v
+        exact[len(l)] |= b
+        m = 0
+        for c in l:
+            i = idx[c]
+            has[i] |= b
+            m |= 1 << i
+        own[v] = m
     adj = g.adj
-    color = [-1] * n
-    # Frames: [vertex, uncolored after it, colours left to try, bit of the
-    # colour it holds now, neighbours that colour was struck from].  The bit
-    # loops are inline: ``bits`` generators made the solver about a third
-    # slower on small, deep trees such as the pigeonhole copies.
+    counts = range(top)
+    wide = range(2, top + 1)
+    # Frames: [vertex bit, uncolored after it, its uncolored neighbours, its
+    # list colours not yet tried, the colour index it holds, the neighbours
+    # that colour was struck from].  Strikes only reach uncolored vertices,
+    # so a coloured vertex's live colours are read from ``has`` as reached.
     stack: list[list] = []
     uncolored = (1 << n) - 1
     while uncolored:
-        best_v, best_sz = -1, 1 << 60
-        m = uncolored
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            sz = live[v].bit_count()
-            if sz < best_sz:
-                best_v, best_sz = v, sz
-                if sz <= 1:
+        low = (exact[0] | exact[1]) & uncolored
+        if not low:
+            for j in wide:
+                low = exact[j] & uncolored
+                if low:
                     break
-            m ^= b
-        if best_sz:
-            stack.append([best_v, uncolored ^ (1 << best_v), live[best_v], 0, ()])
+        b = low & -low
+        if not exact[0] & b:
+            v = b.bit_length() - 1
+            uncolored ^= b
+            stack.append([b, uncolored, adj[v] & uncolored, own[v], 0, 0])
         # Undo the colour last tried and forward-check the next one,
         # dropping frames whose colours are all tried.
         while stack:
             frame = stack[-1]
-            cbit = frame[3]
-            for u in frame[4]:
-                live[u] |= cbit
-            options = frame[2]
-            if options:
-                v = frame[0]
-                uncolored = frame[1]
+            b, uncolored, nbrs, options, c, struck = frame
+            if struck:
+                has[c] |= struck
+                for j in counts:
+                    t = exact[j] & struck
+                    if t:
+                        exact[j] ^= t
+                        exact[j + 1] |= t
+                        struck ^= t
+                        if not struck:
+                            break
+            while options:
                 cbit = options & -options
-                frame[2] = options ^ cbit
-                frame[3] = cbit
-                frame[4] = touched = []
-                m = adj[v] & uncolored
-                while m:
-                    b = m & -m
-                    u = b.bit_length() - 1
-                    if live[u] & cbit:
-                        live[u] ^= cbit
-                        touched.append(u)
-                    m ^= b
-                color[v] = cbit.bit_length() - 1
-                break
-            color[frame[0]] = -1
-            stack.pop()
+                options ^= cbit
+                c = cbit.bit_length() - 1
+                if has[c] & b:
+                    break
+            else:
+                stack.pop()
+                continue
+            frame[3] = options
+            frame[4] = c
+            frame[5] = struck = nbrs & has[c]
+            if struck:
+                has[c] ^= struck
+                for j in counts:
+                    t = exact[j + 1] & struck
+                    if t:
+                        exact[j + 1] ^= t
+                        exact[j] |= t
+                        struck ^= t
+                        if not struck:
+                            break
+            break
         else:
             return None
-    out = tuple(universe[color[v]] for v in range(n))
+    color = [0] * n
+    for frame in stack:
+        color[frame[0].bit_length() - 1] = universe[frame[4]]
+    out = tuple(color)
     if not verify_coloring(g, lists, out):
         raise RuntimeError("solver produced an improper or off-list colouring")
     return out

@@ -138,7 +138,19 @@ def test_usage_errors_exit_above_two(paths, capsys):
                "--delta", "2/3", "--seed", "11"]
     assert main(build_h + ["--mode", "exhaustive", "--max-retries", "0"]) == 3
     assert main(build_h + ["--trials", "-5"]) == 3
+    # the exhaustive block check draws nothing, so a trial count is refused
+    assert main(build_h + ["--mode", "exhaustive", "--trials", "-5"]) == 3
+    assert main(build_h + ["--mode", "exhaustive", "--trials", "2000"]) == 3
     capsys.readouterr()
+
+
+def test_build_h_echoes_trials_only_for_sampled_mode(capsys):
+    base = ["build-h", "--n", "6", "--m", "8", "--eps", "5/6", "--C", "4/3",
+            "--delta", "2/3", "--seed", "11", "--format", "json"]
+    assert main(base + ["--mode", "exhaustive"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["trials"] is None
+    assert main(base + ["--max-retries", "1"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["config"]["trials"] == 2000
 
 
 # JSON true loads as a Python bool, an int subclass; it is rejected as an

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from kstlab.construction import build_counterexample, clique_gadget
 from kstlab.graph import (
     Graph,
     bits,
@@ -180,6 +182,81 @@ def test_solver_keeps_the_recursive_visit_order(g, data):
     lists = ListAssignment.of_lists(
         data.draw(st.lists(st.integers(0, 4), max_size=3)) for _ in range(g.n))
     assert find_l_coloring(g, lists) == _recursive_solver(g, lists)
+
+
+@settings(max_examples=300)
+@given(graphs(min_n=0, max_n=12), st.data())
+def test_solver_keeps_the_recursive_visit_order_on_longer_lists(g, data):
+    # Lists of up to five colours reach live counts above 3, and one strike
+    # moves its vertices between several count masks.  An empty list ends
+    # the search before it starts, so only about one example in four gets one.
+    raw = [data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True))
+           for _ in range(g.n)]
+    if g.n and data.draw(st.sampled_from((False, False, False, True))):
+        raw[data.draw(st.integers(0, g.n - 1))] = []
+    lists = ListAssignment.of_lists(raw)
+    assert find_l_coloring(g, lists) == _recursive_solver(g, lists)
+
+
+def test_solver_keeps_the_recursive_visit_order_on_seeded_instances():
+    # Short lists from few colours on dense graphs backtrack often, so a
+    # count mask left wrong by an undo changes a later branching choice and,
+    # in a few percent of these instances, the colouring returned.
+    rng = random.Random(1)
+    for _ in range(1000):
+        n = rng.randint(6, 12)
+        p = rng.uniform(0.3, 0.8)
+        g = Graph.from_edges(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                 if rng.random() < p])
+        lists = ListAssignment.of_lists(rng.sample(range(6), rng.randint(2, 4))
+                                        for _ in range(n))
+        assert find_l_coloring(g, lists) == _recursive_solver(g, lists)
+
+
+class _RowLog(tuple):
+    """Adjacency rows that log, in order, each vertex whose row is read."""
+
+    def __new__(cls, rows, log):
+        row_log = super().__new__(cls, rows)
+        row_log.log = log
+        return row_log
+
+    def __getitem__(self, v):
+        if v not in self.log:
+            self.log.append(v)
+        return super().__getitem__(v)
+
+
+def test_one_live_colour_ties_with_none_and_the_lower_id_goes_first():
+    # Colouring 0 with 7 leaves 2 one live colour (8) and 3 none.  Zero and
+    # one tie, so 2 is branched on before 3 ends the branch; a rule that
+    # took the dead vertex first would never read 2's row.
+    log: list[int] = []
+    edges = [(0, 2), (0, 3)]
+    adj = Graph.from_edges(4, edges).adj
+    g = Graph(4, _RowLog(adj, log))
+    log.clear()  # the Graph constructor's own checks read every row
+    lists = ListAssignment.of_lists([[7], [2, 3], [7, 8], [7]])
+    assert find_l_coloring(g, lists) is None
+    assert log == [0, 2]
+    assert _recursive_solver(Graph.from_edges(4, edges), lists) is None
+
+
+def test_glued_clique_assembly_has_no_colouring():
+    # All 125 B-colourings of clique_gadget(3, 3) from a 5-colour palette,
+    # glued along B: 378 vertices and no list colouring.
+    asm = build_counterexample(clique_gadget(3, 3), 5, "all")
+    assert asm.graph.n == 3 + 125 * 3
+    assert find_l_coloring(asm.graph, asm.lists) is None
+
+
+def test_long_path_matches_the_recursive_solver():
+    # 600 vertices keep the recursive reference below the recursion limit.
+    rng = random.Random(7)
+    g = path(600)
+    lists = ListAssignment.of_lists(rng.sample(range(4), 2) for _ in range(g.n))
+    got = find_l_coloring(g, lists)
+    assert got is not None and got == _recursive_solver(g, lists)
 
 
 def test_unverified_answers_raise(monkeypatch):
