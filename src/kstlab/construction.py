@@ -189,6 +189,7 @@ class BlockCheck:
     witness: BlockWitness | None
     trials: int
     failures: int
+    nodes: int = 0  # exhaustive enumeration nodes, both sides; 0 when sampled
 
 
 def block_collection_joined(g: Graph, xs, ys) -> bool:
@@ -207,18 +208,20 @@ def block_collection_joined(g: Graph, xs, ys) -> bool:
 
 
 def _block_collections(pool, k: int, sizes: range, total: int | None,
-                       counter, keep=None):
+                       counter, extend=None):
     """Yield canonical collections of k pairwise disjoint subsets of
     ``pool``, ordered by ascending minimum element (in pool order), each set
-    with a size in ``sizes`` and accepted by ``keep`` when that is given.
-    With ``total`` set, only collections covering exactly ``total`` pool
-    vertices are yielded.  Every candidate set is one enumeration node,
-    counted in the one-element list ``counter`` against ``_BLOCK_NODE_CAP``.
-    The enumeration runs on an explicit stack, so k is not bounded by the
-    recursion limit."""
+    with a size in ``sizes``.  With ``total`` set, only collections covering
+    exactly ``total`` pool vertices are yielded.  With ``extend`` given, a
+    candidate set is offered as ``extend(state, block)``, where ``state`` is
+    what the call returned for the set chosen before it (0 for the first);
+    None drops the set and every collection through it.  Every candidate
+    set is one enumeration node, counted in the one-element list ``counter``
+    against ``_BLOCK_NODE_CAP``.  The enumeration runs on an explicit stack,
+    so k is not bounded by the recursion limit."""
     lo_size, hi_size = sizes[0], sizes[-1]
 
-    def candidates(lo: int, used: int, left: int):
+    def candidates(lo: int, used: int, left: int, state):
         # the sets still to choose need `need` more vertices (at least)
         if total is None:
             need, fit = left * lo_size, sizes
@@ -239,11 +242,12 @@ def _block_collections(pool, k: int, sizes: range, total: int | None,
                             f"block-property enumeration exceeded cap {_BLOCK_NODE_CAP}")
                     idx = (ai,) + extra
                     block = tuple(pool[j] for j in idx)
-                    if keep is None or keep(block):
-                        yield ai, used | mask_of(idx), block
+                    after = state if extend is None else extend(state, block)
+                    if after is not None:
+                        yield ai, used | mask_of(idx), block, after
 
     chosen: list[tuple[int, ...]] = []
-    stack = [candidates(0, 0, k)]
+    stack = [candidates(0, 0, k, 0)]
     while stack:
         nxt = next(stack[-1], None)
         if nxt is None:
@@ -251,12 +255,12 @@ def _block_collections(pool, k: int, sizes: range, total: int | None,
             if chosen:
                 chosen.pop()
             continue
-        ai, used, block = nxt
+        ai, used, block, state = nxt
         if len(chosen) == k - 1:
             yield tuple(chosen) + (block,)
             continue
         chosen.append(block)
-        stack.append(candidates(ai + 1, used, k - len(chosen)))
+        stack.append(candidates(ai + 1, used, k - len(chosen), state))
 
 
 def check_block_property(
@@ -293,14 +297,24 @@ def check_block_property(
       U, freeing the rest.  So with r = |B - U| the X side has a bad Y
       side iff r >= k, or there are k - r disjoint subsets of U of sizes
       2..f, none inside any CN(X_i); a small exact search finds those.
-    * For f = 1 the second case is empty and each X-collection costs one
-      popcount.
+    * The X enumeration carries U over the sets chosen so far, one OR per
+      set, and drops a partial collection as soon as no completion can
+      leave k bad Y sets.  The disjoint bad Y sets number at most
+      |B - U| (each one meeting B - U) plus, for f >= 2, floor(|U| / 2)
+      (each one inside U, with at least 2 vertices); for f = 1 the second
+      term is 0.  Adding a set only grows U, and each vertex U gains lowers
+      |B - U| by 1 and raises floor(|U| / 2) by at most 1, so the bound
+      never rises.  A partial collection with bound < k therefore has no
+      completion with a bad Y side, and cutting it skips no bad collection.
+      For f = 1 every X-collection that survives is bad.
 
     X-collections come in the canonical order of ascending minimum element
-    (lexicographic for f = 1); the first bad one is the witness, with Y the
-    bad singletons lowest in B order, then the subsets the search found.
-    Both enumerations count their candidate sets as nodes and refuse
-    (``EnumerationCapError``) beyond ``_BLOCK_NODE_CAP`` of them.
+    (lexicographic for f = 1), and the cut keeps the order of those that
+    survive; the first bad one is the witness, with Y the bad singletons
+    lowest in B order, then the subsets the search found.  Both
+    enumerations count their candidate sets as nodes, cut or not, report
+    the count as ``nodes`` and refuse (``EnumerationCapError``) beyond
+    ``_BLOCK_NODE_CAP`` of them.
 
     mode='sampled' draws ``trials`` random collections with a generator
     seeded by ``seed`` and reports 'unknown_sampled' when no failure is
@@ -318,27 +332,38 @@ def check_block_property(
     if mode == "exhaustive":
         f = max_block_size
         b_mask = mask_of(b_part)
+
+        def common(x_i) -> int:
+            cn = b_mask
+            for x in x_i:
+                cn &= g.adj[x]
+            return cn
+
+        def extend(covered: int, x_i):
+            covered |= common(x_i)
+            u = covered.bit_count()
+            room = len(b_part) - u + (u // 2 if f > 1 else 0)
+            return covered if room >= k else None
+
         counter = [0]
         for xs in _block_collections(a_part, k, range(1, f + 1),
-                                     min(len(a_part), k * f), counter):
+                                     min(len(a_part), k * f), counter, extend):
             cns, covered = [], 0
             for x_i in xs:
-                cn = b_mask
-                for x in x_i:
-                    cn &= g.adj[x]
-                cns.append(cn)
-                covered |= cn
+                cns.append(common(x_i))
+                covered |= cns[-1]
             bad = [(y,) for y in b_part if not covered >> y & 1]
             if len(bad) < k and f > 1:
                 inside = [y for y in b_part if covered >> y & 1]
                 packing = next(_block_collections(
                     inside, k - len(bad), range(2, f + 1), None, counter,
-                    keep=lambda ys: all(mask_of(ys) & ~cn for cn in cns)),
+                    lambda s, ys: s if all(mask_of(ys) & ~cn for cn in cns) else None),
                     ())
                 bad = sorted(bad + list(packing))
             if len(bad) >= k:
-                return BlockCheck("falsified", BlockWitness(xs, tuple(bad[:k])), 0, 1)
-        return BlockCheck("verified", None, 0, 0)
+                return BlockCheck("falsified", BlockWitness(xs, tuple(bad[:k])), 0, 1,
+                                  counter[0])
+        return BlockCheck("verified", None, 0, 0, counter[0])
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     if seed is None:
@@ -437,6 +462,7 @@ class SampleReport:
                 "status": self.blocks.status,
                 "trials": self.blocks.trials,
                 "failures": self.blocks.failures,
+                "nodes": self.blocks.nodes,
                 "witness": None if self.blocks.witness is None else {
                     "xs": [list(x) for x in self.blocks.witness.xs],
                     "ys": [list(y) for y in self.blocks.witness.ys],

@@ -330,7 +330,7 @@ def test_readme_end_to_end_chain_matches_the_cli(tmp_path, monkeypatch, capsys):
         elif line.startswith("#" + " " * (col - 1)) and runs and runs[-1][2]:
             runs[-1][2].append(line[col:])
     assert [(argv[0], code) for argv, code, _ in runs] == [
-        ("build-h", 0), ("check-minor", 0), ("check-minor", 1),
+        ("build-h", 0), ("build-h", 0), ("check-minor", 0), ("check-minor", 1),
         ("build-counterexample", 2), ("build-counterexample", 0), ("experiment", 0)]
     monkeypatch.chdir(tmp_path)
     for argv, code, documented in runs:

@@ -9,7 +9,9 @@ Oracle notes per section:
 * block-property verdicts are cross-checked by a direct inline
   enumeration over singleton collections where that is feasible, and by
   the former X-by-Y double loop over all block collections (kept here as
-  ``_block_reference``) on small random graphs;
+  ``_block_reference``) on small random graphs, and by the X enumeration
+  without its cut (kept here as ``_block_unpruned``), status and witness,
+  on seeded desk draws and random graphs;
 * the pigeonhole verifier is exercised on every proper coloring of the
   fixtures' B-cliques and on copies of a sampled gadget, each compared with
   the exhaustive list-coloring solver on B plus the copy, and the assembled
@@ -57,6 +59,7 @@ from kstlab.graph import (
     glue,
     induced_subgraph,
     is_clique,
+    mask_of,
     non_neighbor_count,
     permuted,
 )
@@ -287,6 +290,79 @@ def test_block_property_double_loop_sweep_hits_every_case():
                     for big in (True, False)}
 
 
+def _block_unpruned(g, f, k):
+    """The exhaustive check before the X enumeration was cut: score every
+    X-collection in canonical order.  Return the first bad (xs, ys), or
+    None when there is none, and the enumeration nodes."""
+    a, b = list(g.part("A")), list(g.part("B"))
+    b_mask = mask_of(b)
+    counter = [0]
+    for xs in construction._block_collections(a, k, range(1, f + 1),
+                                              min(len(a), k * f), counter):
+        cns, covered = [], 0
+        for x_i in xs:
+            cn = b_mask
+            for x in x_i:
+                cn &= g.adj[x]
+            cns.append(cn)
+            covered |= cn
+        bad = [(y,) for y in b if not covered >> y & 1]
+        if len(bad) < k and f > 1:
+            inside = [y for y in b if covered >> y & 1]
+            packing = next(construction._block_collections(
+                inside, k - len(bad), range(2, f + 1), None, counter,
+                lambda s, ys: s if all(mask_of(ys) & ~cn for cn in cns) else None),
+                ())
+            bad = sorted(bad + list(packing))
+        if len(bad) >= k:
+            return (xs, tuple(bad[:k])), counter[0]
+    return None, counter[0]
+
+
+def _check_block_against_unpruned(g, f, eps, n):
+    """Assert the check and the unpruned loop give the same status and
+    witness, and that the cut visits no more nodes; return the status and
+    whether it visited fewer."""
+    got = check_block_property(g, f, eps, n, mode="exhaustive")
+    want, nodes = _block_unpruned(g, f, math.ceil(eps * n))
+    assert got.status == ("verified" if want is None else "falsified")
+    assert (None if got.witness is None else (got.witness.xs, got.witness.ys)) == want
+    assert got.nodes <= nodes
+    return got.status, got.nodes < nodes
+
+
+def test_block_property_cut_matches_unpruned_on_desk_draws():
+    seen = set()
+    for eps in (F(1, 2), F(2, 3), F(5, 6)):
+        params = GadgetParams(eps, F(4, 3), 1, F(2, 3))
+        for n in range(4, 15):
+            for seed in range(2):
+                g = sample_bipartite(n, params, seed=seed)
+                seen.add(_check_block_against_unpruned(g, 1, eps, n))
+    assert {status for status, _ in seen} == {"verified", "falsified"}
+    assert (("verified", True) in seen) and (("falsified", True) in seen)
+
+
+def test_block_property_cut_matches_unpruned_on_random_graphs():
+    rng = np.random.default_rng(15)
+    seen = set()
+    for _ in range(500):
+        n_a, n_b = (int(x) for x in rng.integers(1, 10, size=2))
+        f, k = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        k = min(k, n_a, n_b)
+        labels = tuple(str(lab) for lab in rng.permutation(["A"] * n_a + ["B"] * n_b))
+        a = [v for v, lab in enumerate(labels) if lab == "A"]
+        b = [v for v, lab in enumerate(labels) if lab == "B"]
+        p = rng.choice([0.3, 0.7, 0.95])
+        edges = [(x, y) for x in a for y in b if rng.random() < p]
+        g = Graph.from_edges(n_a + n_b, edges, labels)
+        status, cut = _check_block_against_unpruned(g, f, F(k), 1)
+        seen.add((status, f, cut))
+    # both verdicts at every f, each reached at least once with the cut firing
+    assert {(status, f) for status, f, cut in seen if cut} == {
+        (status, f) for status in ("verified", "falsified") for f in (1, 2, 3)}
+
+
 def test_block_property_sampled_mode():
     params = GadgetParams(F(1, 2), F(1), 1, F(1, 2))
     g = sample_bipartite(4, params, seed=7)
@@ -428,6 +504,25 @@ def test_build_gadget_postconditions():
     assert all(non_neighbor_count(h, v) <= 5 for v in range(h.n))
     assert build.attempts[-1].degree.passed
     assert build.attempts[-1].blocks.status == "verified"
+
+
+def test_block_check_reports_its_nodes():
+    # candidate sets of both enumerations, counted whether cut or not
+    build = build_gadget(8, 6, DESK, seed=11, block_mode="exhaustive")
+    assert [rep.blocks.nodes for rep in build.attempts] == [7]
+    assert build.attempts[-1].to_json_dict()["blocks"]["nodes"] == 7
+    g = sample_bipartite(4, GadgetParams(F(1, 2), F(1), 1, F(1, 2)), seed=7)
+    sampled = check_block_property(g, 1, F(1, 2), 4, mode="sampled", trials=50, seed=1)
+    assert sampled.nodes == 0
+
+
+def test_build_gadget_exhaustive_at_24x18():
+    # refused at the 2,000,001st node before the X enumeration was cut
+    build = build_gadget(24, 18, DESK, seed=5, block_mode="exhaustive")
+    assert build.ok
+    assert [(rep.blocks.status, rep.blocks.nodes) for rep in build.attempts] == [
+        ("verified", 165)]
+    assert build.attempts[-1].blocks.nodes <= 1000
 
 
 def test_build_gadget_non_neighbor_check_raises(monkeypatch):
