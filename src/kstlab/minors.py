@@ -175,22 +175,41 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
 
     Zero slack: a node's slack is its undecided vertex count minus its empty
     set count.  Below zero the node is dead, as every empty set needs a
-    vertex of its own.  At zero every undecided vertex must open one empty
-    set, so no vertex stays unused and no committed set grows again.  Then
-    (a) a cross pair of committed sets with no host edge stays unlinked, and
-    the node is dead; (b) a vertex that opens a side-2 set is all of that
-    set, so it must be next to every committed side-1 set, and conversely;
-    a vertex that fits neither side kills the node; (c) the branching
-    vertex gets no join and no unused child, and it opens a side only if it
-    fits that side.  Each cut subtree holds no model, the branching vertex
-    of every node left is unchanged, and the children left keep their
-    order, so the walk meets the same first model, or none, and only
-    ``nodes_expanded`` drops.  A child of a zero-slack node opens a set
-    with a vertex that fits, so its slack stays zero and the new set is
-    linked to every committed set across.  So (a) is tested only where the
-    slack first reaches zero (at the root, or after a join or an unused
-    move), and at zero slack the liveness tests, which look only at
-    unlinked pairs, are skipped.
+    vertex of its own.  At zero each vertex of the undecided set U must open
+    one empty set, so no vertex stays unused and no committed set grows
+    again.  A completion of the node is then a split of U into U1 and U2,
+    with |U1| = e1 the number of empty side-1 sets, such that (a) every
+    committed cross pair has a host edge, (d) every committed set is
+    connected on its own, (b) each vertex of U1 is next to every committed
+    side-2 set (it fits side 1) and each vertex of U2 fits side 2 likewise,
+    and every U1-U2 pair is a host edge.  By the last clause two vertices of
+    U with no edge between them go to the same side, so each component of
+    the complement of G[U] goes whole to a side it fits; conversely any such
+    placement meets (b) and the last clause.  (e) A subset sum over the
+    component sizes, where a component that fits one side only shifts the
+    bitset and one that fits both ORs in a shifted copy, decides whether e1
+    vertices can go to side 1; a component that fits neither side, such as
+    a single vertex that fits neither, kills the node at once.  The node is
+    dropped unless (a), (d) and (e) pass, and (c) the branching vertex gets
+    no join and no unused child, and it opens a side only if it fits that
+    side.  A child of a zero-slack node opens a set with a vertex that
+    fits, so its slack stays zero, the new set is one vertex and it is
+    linked to every committed set across.  So (a) and (d) are tested only
+    where the slack first reaches zero (at the root, or after a join or an
+    unused move), the subset sum at every zero-slack node, and at zero
+    slack the liveness tests, which look only at unlinked pairs, are
+    skipped.
+
+    The zero-slack test is exact: a zero-slack node survives iff some
+    completion exists, and a completion is a model of its subtree.  The
+    branching vertex v lies in U1 or U2 of any completion and opens that
+    side, which it fits, so one of its at most two children survives in
+    turn (with s == t and no set committed, swapping the sides of a
+    completion puts v on side 1).  So each cut subtree holds no model, the
+    branching vertex of every node left is unchanged and the children left
+    keep their order: the walk meets the same first model, or none, and
+    only ``nodes_expanded`` drops.  Below a surviving zero-slack node the
+    walk expands at most two nodes per level before it returns the model.
     """
     s, t = q.s, q.t
     k = s + t
@@ -220,16 +239,7 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
         fit1 = fit2 = -1
         if not slack:
             # Zero slack: every undecided vertex opens a singleton set, so no
-            # committed set grows again.  A cross pair with no edge is dead;
-            # below the node where slack first hits zero every set opened
-            # fits, so the pairs need checking only there.
-            if c < 0 or cmask[c] & (cmask[c] - 1):
-                for i in range(s):
-                    if cmask[i]:
-                        ni = cnbr[i]
-                        for j in range(s, k):
-                            if cmask[j] and not ni & cmask[j]:
-                                return None
+            # committed set grows again.
             # Forward check: a vertex opening a side-2 set must be next to
             # every committed side-1 set, and conversely.
             fit1 = und if 0 in cmask[:s] else 0
@@ -240,8 +250,46 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
             for j in range(s, k):
                 if cmask[j]:
                     fit1 &= cnbr[j]
-            if und & ~(fit1 | fit2):
+            # Two undecided vertices with no edge open sets on one side, so
+            # each component of the complement of G[und] goes whole to a side
+            # it fits.  Bit x of ``sums`` is set when x vertices can go to
+            # side 1; the node lives iff that can fill its empty side-1 sets.
+            sums = 1
+            rest = und
+            while rest:
+                comp = todo = rest & -rest
+                rest ^= comp
+                while todo:
+                    u = todo & -todo
+                    todo ^= u
+                    new = rest & ~adj[u.bit_length() - 1]
+                    rest ^= new
+                    todo |= new
+                    comp |= new
+                if comp & ~fit2:
+                    if comp & ~fit1:
+                        return None
+                    sums <<= comp.bit_count()
+                elif not comp & ~fit1:
+                    sums |= sums << comp.bit_count()
+            if not sums >> cmask[:s].count(0) & 1:
                 return None
+            # A cross pair with no edge, or a committed set that is not
+            # connected, is dead.  Below the node where slack first hits zero
+            # every set opened is one vertex that fits, so these need
+            # checking only there.  They come after the split test because
+            # walking large sets costs more than that test, which kills most
+            # of these nodes on large hosts.
+            if c < 0 or cmask[c] & (cmask[c] - 1):
+                for i in range(s):
+                    if cmask[i]:
+                        ni = cnbr[i]
+                        for j in range(s, k):
+                            if cmask[j] and not ni & cmask[j]:
+                                return None
+                for cm in cmask:
+                    if cm & (cm - 1) and closure(adj, cm & -cm, cm) != cm:
+                        return None
 
         # Reachability closures: a set can only ever grow inside its closure
         # through undecided vertices, so a set split across closure

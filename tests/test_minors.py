@@ -707,13 +707,47 @@ def test_invalid_model_raises_under_python_dash_o():
 # --- identical tree against the search that recomputes every closure --------
 
 
+def _zero_slack_split(adj, und: int, fit1: int, fit2: int, e1: int) -> bool:
+    """Whether the undecided vertices ``und`` split into e1 side-1 openers
+    inside ``fit1`` and the rest inside ``fit2``, with a host edge across
+    every pair of the two halves.  Vertices with no edge between them share
+    a side, so the classes of that relation (merged pair by pair) go whole
+    to one side; the reachable side-1 counts are kept as a set."""
+    verts = list(bits(und))
+    root = {u: u for u in verts}
+
+    def find(u):
+        while root[u] != u:
+            u = root[u]
+        return u
+
+    for a, b in itertools.combinations(verts, 2):
+        if not adj[a] >> b & 1:
+            root[find(a)] = find(b)
+    classes: dict[int, list[int]] = {}
+    for u in verts:
+        classes.setdefault(find(u), []).append(u)
+    counts = {0}
+    for cls in classes.values():
+        moves = []
+        if all(fit1 >> u & 1 for u in cls):
+            moves.append(len(cls))
+        if all(fit2 >> u & 1 for u in cls):
+            moves.append(0)
+        counts = {x + d for x in counts for d in moves}
+    return e1 in counts
+
+
 def _search_reference(g: Graph, q: MinorQuery, within: int, budget: int | None,
-                      zero_slack: bool = True) -> MinorSearch:
+                      zero_slack: bool = True, exact: bool = True) -> MinorSearch:
     """``minors._search`` without closures carried across nodes: every node
     recomputes the reach closure of every non-empty set.  Kept as the
     reference the incremental search must match node for node.  With
     ``zero_slack=False`` the zero-slack rule is off, which gives the larger
-    tree of the search before that rule; it must reach the same answers."""
+    tree of the search before that rule; it must reach the same answers.
+    With ``exact=False`` only the exact zero-slack test is off (committed
+    sets connected, and the split of the undecided vertices), which gives
+    the tree of the search that checked each vertex on its own."""
     s, t = q.s, q.t
     k = s + t
     adj = g.adj
@@ -750,6 +784,12 @@ def _search_reference(g: Graph, q: MinorQuery, within: int, budget: int | None,
             fit1 = fit(cmask[:s], cmask[s:])
             fit2 = fit(cmask[s:], cmask[:s])
             if und & ~(fit1 | fit2):
+                return None
+            # No committed set grows again, so each must be connected, and
+            # the undecided vertices must split into openers of both sides.
+            if exact and (
+                    any(cm and closure(adj, cm & -cm, cm) != cm for cm in cmask)
+                    or not _zero_slack_split(adj, und, fit1, fit2, cmask[:s].count(0))):
                 return None
 
         # Reachability closures: a set can only ever grow inside its closure
@@ -895,15 +935,16 @@ def test_incremental_closures_keep_the_tree_on_glued_hosts():
             assert short.status is SearchStatus.BUDGET_EXHAUSTED
 
 
-# --- zero-slack rule against the tree without it ------------------------------
+# --- zero-slack rules against the tree without them ----------------------------
 
 
-def _no_worse_than_without_zero_slack(g, q, budget):
-    """The zero-slack rule cuts only subtrees without a model and keeps the
+def _no_worse_than_without(g, q, budget, **off):
+    """A zero-slack rule cuts only subtrees without a model and keeps the
     order of the children left, so the answer and the model stay those of
-    the search without it, at no more nodes."""
+    the reference search with the rules in ``off`` switched off, at no more
+    nodes."""
     got = _search(g, q, g.vertex_mask(), budget)
-    old = _search_reference(g, q, g.vertex_mask(), budget, zero_slack=False)
+    old = _search_reference(g, q, g.vertex_mask(), budget, **off)
     assert got.nodes_expanded <= old.nodes_expanded, (g.adj, q, budget)
     if old.status is not SearchStatus.BUDGET_EXHAUSTED:
         assert (got.status, got.model) == (old.status, old.model), (g.adj, q, budget)
@@ -915,30 +956,51 @@ def _no_worse_than_without_zero_slack(g, q, budget):
 def test_zero_slack_keeps_answers_and_models(g, data):
     s = data.draw(st.integers(1, 4))
     t = data.draw(st.integers(s, 4))
-    _no_worse_than_without_zero_slack(g, MinorQuery(s, t), 20_000)
+    _no_worse_than_without(g, MinorQuery(s, t), 20_000, zero_slack=False)
 
 
 def test_zero_slack_keeps_answers_and_models_on_glued_hosts():
     for g, q in _glued_host_queries():
-        _no_worse_than_without_zero_slack(g, q, 2_000)
+        _no_worse_than_without(g, q, 2_000, zero_slack=False)
+
+
+@settings(max_examples=300)
+@given(st.one_of(graphs(min_n=1, max_n=9), sparse_graphs(min_n=1, max_n=9)), st.data())
+def test_exact_zero_slack_keeps_answers_and_models(g, data):
+    s = data.draw(st.integers(1, 4))
+    t = data.draw(st.integers(s, max(s, min(g.n - s, 6))))
+    _no_worse_than_without(g, MinorQuery(s, t), 20_000, exact=False)
+
+
+def test_exact_zero_slack_keeps_answers_and_models_on_glued_hosts():
+    for g, q in _glued_host_queries():
+        _no_worse_than_without(g, q, 2_000, exact=False)
 
 
 def test_zero_slack_on_full_width_queries_of_sampled_gadgets():
-    # K_{s,11-s} on an 11-vertex gadget: every branch set is one vertex.
+    # K_{s,11-s} on an 11-vertex gadget: every branch set is one vertex, and
+    # the exact zero-slack test answers every query without a model at the
+    # root.
     for g in _sampled_gadgets(4):
         assert g.n == 11
         for s in range(2, 6):
-            got, old = _no_worse_than_without_zero_slack(g, MinorQuery(s, 11 - s), None)
+            got, old = _no_worse_than_without(g, MinorQuery(s, 11 - s), None,
+                                              zero_slack=False)
             assert got.nodes_expanded < old.nodes_expanded
+            if got.status is SearchStatus.NOT_FOUND:
+                assert got.nodes_expanded == 1
 
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_zero_slack_decides_k77_on_desk_gadgets(seed):
-    # 14 vertices and 14 branch sets: zero slack from the root.  Without the
-    # rule these searches took 24,617 (seed 11) and 28,857 (seed 12) nodes.
+    # 14 vertices and 14 branch sets: zero slack from the root, where the
+    # exact test answers.  Without the zero-slack rule these searches took
+    # 24,617 (seed 11) and 28,857 (seed 12) nodes; with it, checking each
+    # vertex on its own, 114 and 276.
     g = build_gadget(8, 6, DESK, seed=seed, block_mode="exhaustive").graph
     res = find_kst_minor(g, MinorQuery(7, 7), budget=1_000)
     assert res.status is SearchStatus.NOT_FOUND
+    assert res.nodes_expanded == 1
 
 
 def test_zero_slack_finds_k67_on_a_desk_gadget():
