@@ -159,6 +159,7 @@ def _cmd_check_choosable(args) -> int:
         "k": verdict.k,
         "choosable": verdict.choosable,
         "universe_size": verdict.universe_size,
+        "assignments": verdict.assignments,
         "witness": verdict.witness.to_json_dict() if verdict.witness else None,
     }
     lines = [f"check-choosable k={args.k}: "

@@ -44,19 +44,34 @@ a classical theorem already answers:
    test are searched exactly as before, in the same order, so verdicts and
    witnesses do not depend on this reduction.
 
+Leaves of the enumeration are decided on color-class bitmasks.  The search
+keeps the host's adjacency restricted to the kernel, the lists as color
+masks and the support-1 colors as one mask, and decides each complete
+assignment at its last vertex w: it is colorable iff w's list holds a color
+c such that the other vertices can be colored from their lists with c
+struck from w's neighbors.  That test is a small exact backtracking over
+color classes (``_colorable``), run once per color and prefix and reused
+for every list of w under that prefix.  Any exact leaf test gives the same
+answers in the same enumeration order, so the first bad assignment, and
+with it every verdict and witness, is the one a solver run per leaf would
+give.  ``ChoosabilityVerdict.assignments`` counts the
+complete assignments decided, summed over the searched kernels.
+
 A NotChoosable verdict always carries a witness assignment on the original
 graph with lists of size exactly k, rebuilt from the failing core by padding
-deleted vertices with fresh private colors, and is re-checked by the solver
-before being returned (a witness that fails raises RuntimeError).
+deleted vertices with fresh private colors, and is re-checked by
+``find_l_coloring`` before being returned (a witness that fails raises
+RuntimeError).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
-from .graph import Graph, bits, closure, induced_subgraph
+from .graph import Graph, bits, closure
 
 
 @dataclass(frozen=True)
@@ -99,6 +114,7 @@ class ChoosabilityVerdict:
     choosable: bool
     witness: ListAssignment | None
     universe_size: int
+    assignments: int = 0
 
 
 class ChoosabilityCapError(ValueError):
@@ -243,14 +259,25 @@ def find_l_coloring(g: Graph, lists: ListAssignment) -> tuple[int, ...] | None:
 
 
 def _kernel_mask(g: Graph, mask: int, k: int) -> int:
-    """Drop vertices of degree < k inside ``mask`` until none remain."""
-    changed = True
-    while changed:
-        changed = False
-        for v in bits(mask):
-            if (g.adj[v] & mask).bit_count() < k:
-                mask ^= 1 << v
-                changed = True
+    """The k-core of g[mask]: vertices of degree < k inside ``mask`` are
+    peeled until none remain.  Only a neighbor of a peeled vertex can drop
+    below k, so each round re-reads only those; the k-core is unique, so the
+    order of peeling does not matter."""
+    adj = g.adj
+    todo = mask
+    while todo:
+        low = 0
+        while todo:
+            b = todo & -todo
+            todo ^= b
+            if (adj[b.bit_length() - 1] & mask).bit_count() < k:
+                low |= b
+        mask ^= low
+        while low:
+            b = low & -low
+            low ^= b
+            todo |= adj[b.bit_length() - 1]
+        todo &= mask
     return mask
 
 
@@ -298,53 +325,131 @@ def _two_choosable_core(g: Graph, mask: int) -> bool:
     return True
 
 
-def _bad_assignment_on(g: Graph, mask: int, k: int) -> dict[int, frozenset[int]] | None:
-    """Search induced subgraph g[mask] for a bad k-assignment in which every
-    color appears in at least two lists.  Lists are enumerated in canonical
-    first-use color order, which covers at least one representative of every
-    color-permutation orbit."""
-    verts = list(bits(mask))
-    sub, kept = induced_subgraph(g, verts)
-    m = sub.n
-    lists: list[tuple[int, ...]] = []
-    support = [0] * (m * k + 1)
+@lru_cache(maxsize=1024)
+def _subsets(pool: int, r: int) -> tuple[int, ...]:
+    """The r-color subsets of the color mask ``pool``, as masks, in the
+    order ``combinations`` gives them over the ascending colors."""
+    return tuple(map(sum, combinations([1 << c for c in bits(pool)], r)))
 
-    def rec(i: int, used: int) -> dict[int, frozenset[int]] | None:
-        if i == m:
-            assignment = ListAssignment.of_lists([frozenset(l) for l in lists])
-            if find_l_coloring(sub, assignment) is None:
-                return {kept[j]: frozenset(lists[j]) for j in range(m)}
+
+def _colorable(lists: list[int], vbits: list[int], earlier: list[int], width: int) -> bool:
+    """True iff each position j can take a color of ``lists[j]`` (a color
+    mask below ``width``) with no two adjacent positions alike.
+
+    Position j is the vertex ``vbits[j]`` and ``earlier[j]`` is the mask of
+    its neighbors at lower positions.  Backtracks in position order, trying
+    colors ascending; ``classes[c]`` is the mask of vertices holding color
+    c, so color c fits j iff its class misses ``earlier[j]``.
+    """
+    n = len(lists)
+    if not n:
+        return True
+    classes = [0] * width
+    left = [0] * n  # colors of each position not yet tried
+    held = [0] * n
+    j = 0
+    options = lists[0]
+    while True:
+        while options:
+            cb = options & -options
+            options ^= cb
+            c = cb.bit_length() - 1
+            if not classes[c] & earlier[j]:
+                break
+        else:
+            j -= 1
+            if j < 0:
+                return False
+            classes[held[j]] ^= vbits[j]
+            options = left[j]
+            continue
+        classes[c] |= vbits[j]
+        left[j] = options
+        held[j] = c
+        j += 1
+        if j == n:
+            return True
+        options = lists[j]
+
+
+def _bad_assignment_on(g: Graph, mask: int, k: int
+                       ) -> tuple[dict[int, frozenset[int]] | None, int]:
+    """Search induced subgraph g[mask] for a bad k-assignment in which every
+    color appears in at least two lists.
+
+    Lists go to the vertices of ``mask`` in ascending order and are
+    enumerated in canonical first-use color order, which covers at least one
+    representative of every color-permutation orbit.  Returns the first bad
+    assignment met, or None, and the number of complete assignments decided.
+
+    Lists are color masks and colors 0..used-1 are the ones used so far;
+    ``ones`` holds those with support 1.  A complete assignment is decided
+    at the last vertex w.  With the other lists fixed, it is colorable iff
+    its list for w holds a color c such that the other vertices can be
+    colored with c struck from the lists of w's neighbors; each such c is
+    tested once, by ``_colorable`` on the host's adjacency restricted to
+    ``mask``, and the answer is kept for every list of w under the same
+    prefix.  The test is exact, so the first bad assignment is the one a
+    per-assignment solver would find.
+    """
+    adj = g.adj
+    verts = list(bits(mask))
+    m = len(verts)
+    last = m - 1
+    vbits = [1 << v for v in verts]
+    earlier = [adj[v] & mask & (b - 1) for v, b in zip(verts, vbits)]
+    near = [j for j in range(last) if earlier[last] & vbits[j]]
+    lists = [0] * m
+    leaves = 0
+
+    def decide(used: int, ones: int) -> dict[int, frozenset[int]] | None:
+        # Lists of the last vertex: every support-1 color, no new color.
+        nonlocal leaves
+        r = k - ones.bit_count()
+        if r < 0 or k > used:
             return None
-        remaining_after = m - i - 1
-        deficit = sum(1 for c in range(used) if support[c] == 1)
+        prefix = lists[:last]
+        free = blocked = 0  # colors known to fit, and known not to fit, at w
+        for extra in _subsets(((1 << used) - 1) ^ ones, r):
+            x = ones | extra
+            leaves += 1
+            if x & free:
+                continue
+            rest = x & ~blocked
+            while rest:
+                cb = rest & -rest
+                rest ^= cb
+                struck = prefix[:]
+                for j in near:
+                    struck[j] &= ~cb
+                if _colorable(struck, vbits, earlier, used):
+                    free |= cb
+                    break
+                blocked |= cb
+            else:
+                lists[last] = x
+                return {v: frozenset(bits(l)) for v, l in zip(verts, lists)}
+        return None
+
+    def rec(i: int, used: int, ones: int) -> dict[int, frozenset[int]] | None:
+        if i == last:
+            return decide(used, ones)
         # vertices i..m-1 have (m - i) * k list slots left to lift every
         # support-1 color to support >= 2
-        if deficit > (remaining_after + 1) * k:
+        if ones.bit_count() > (m - i) * k:
             return None
-        max_new = 0 if remaining_after == 0 else k
-        for new in range(0, max_new + 1):
-            old_needed = k - new
-            if old_needed > used:
-                continue
-            must = tuple(c for c in range(used) if support[c] == 1) \
-                if remaining_after == 0 else ()
-            if len(must) > old_needed:
-                break
-            pool = [c for c in range(used) if c not in must]
-            for extra in combinations(pool, old_needed - len(must)):
-                chosen = must + extra + tuple(range(used, used + new))
-                lists.append(chosen)
-                for c in chosen:
-                    support[c] += 1
-                hit = rec(i + 1, used + new)
-                for c in chosen:
-                    support[c] -= 1
-                lists.pop()
+        low = (1 << used) - 1
+        for new in range(max(k - used, 0), k + 1):
+            fresh = low ^ ((1 << (used + new)) - 1)
+            for old in _subsets(low, k - new):
+                lists[i] = old | fresh
+                hit = rec(i + 1, used + new, (ones & ~old) | fresh)
                 if hit is not None:
                     return hit
         return None
 
-    return rec(0, 0)
+    hit = rec(0, 0, 0)
+    return hit, leaves
 
 
 def is_k_choosable(
@@ -358,14 +463,22 @@ def is_k_choosable(
 
     For k = 2, kernels whose components are all even cycles or
     theta_{2,2,2m} are answered by the Erdos-Rubin-Taylor characterisation
-    without enumerating (reduction 4 of the module docstring).
+    without enumerating (reduction 4 of the module docstring).  Every other
+    kernel is enumerated, and each complete assignment is decided exactly on
+    color-class bitmasks; since the leaf test is exact and the enumeration
+    order is fixed, the first bad assignment found, and so the witness, does
+    not depend on how leaves are decided.  The verdict's ``assignments``
+    counts the complete assignments decided.
 
     Refuses instances above the caps (default 8 vertices, k <= 3; both are
-    arguments) instead of answering partially.  See the module docstring for
-    the completeness argument behind the reductions used.
+    arguments) instead of answering partially; caps below 1, which allow no
+    attempt, raise a plain ValueError.  See the module docstring for the
+    completeness argument behind the reductions used.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    if max_vertices < 1 or max_k < 1:
+        raise ValueError("the vertex and list-size caps must be positive")
     if g.n > max_vertices:
         raise ChoosabilityCapError(
             f"graph has {g.n} vertices, exhaustive cap is {max_vertices}")
@@ -373,8 +486,10 @@ def is_k_choosable(
         raise ChoosabilityCapError(f"k={k} above exhaustive cap {max_k}")
 
     memo: dict[int, dict[int, frozenset[int]] | None] = {}
+    leaves = 0
 
     def bad_core(mask: int) -> dict[int, frozenset[int]] | None:
+        nonlocal leaves
         mask = _kernel_mask(g, mask, k)
         if mask == 0:
             return None
@@ -389,14 +504,15 @@ def is_k_choosable(
             if hit is not None:
                 break
         if hit is None:
-            hit = _bad_assignment_on(g, mask, k)
+            hit, decided = _bad_assignment_on(g, mask, k)
+            leaves += decided
         memo[mask] = hit
         return hit
 
     core = bad_core(g.vertex_mask())
     universe = k * g.n
     if core is None:
-        return ChoosabilityVerdict(k, True, None, universe)
+        return ChoosabilityVerdict(k, True, None, universe, leaves)
     # Pad vertices outside the failing core with fresh private colors.
     used = max((c for l in core.values() for c in l), default=-1) + 1
     full: list[frozenset[int]] = []
@@ -410,4 +526,4 @@ def is_k_choosable(
     witness = ListAssignment(tuple(full))
     if any(len(l) != k for l in witness.lists) or find_l_coloring(g, witness) is not None:
         raise RuntimeError("witness failed re-verification")
-    return ChoosabilityVerdict(k, False, witness, universe)
+    return ChoosabilityVerdict(k, False, witness, universe, leaves)

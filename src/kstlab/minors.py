@@ -551,11 +551,12 @@ def find_kst_minor(g: Graph, q: MinorQuery, budget: int | None = None) -> MinorS
     turn.  An atom with fewer than s + t vertices or fewer than s * t edges
     cannot hold the minor and is skipped at zero nodes.  ``budget`` caps the
     node expansions summed over all atoms; exceeding it yields
-    BUDGET_EXHAUSTED.  A found model is re-verified on ``g``, and a model
-    that fails raises RuntimeError.  Inside an atom, ``_search`` branches
-    fail-first (fewest candidate sets, then highest degree in the atom, then
-    lowest id) and opens new branch sets before joining existing ones; its
-    docstring argues why that order keeps the search complete.
+    BUDGET_EXHAUSTED, and a budget below 1 raises ValueError.  A found model
+    is re-verified on ``g``, and a model that fails raises RuntimeError.
+    Inside an atom, ``_search`` branches fail-first (fewest candidate sets,
+    then highest degree in the atom, then lowest id) and opens new branch
+    sets before joining existing ones; its docstring argues why that order
+    keeps the search complete.
 
     Soundness: K_{s,t} with s <= t is s-connected.  Let S be a clique
     separator of g with |S| < s, so that g = G1 u G2 with G1 n G2 = S, and
@@ -570,6 +571,8 @@ def find_kst_minor(g: Graph, q: MinorQuery, budget: int | None = None) -> MinorS
     separators puts it inside one atom.  Conversely an atom is an induced
     subgraph, so its minors are minors of g.
     """
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     s, t = q.s, q.t
     k = s + t
     if g.n < k or g.edge_count() < s * t:

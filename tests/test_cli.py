@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from kstlab import cycle, complete_bipartite, petersen, serialize, uniform_lists
+from kstlab import cycle, complete_bipartite, is_k_choosable, petersen, serialize, uniform_lists
 from kstlab.cli import build_parser, main
 from kstlab.graph import parse, path, to_edge_list, to_json_dict
 from kstlab.listcolor import ListAssignment, verify_coloring
@@ -141,7 +141,13 @@ def test_usage_errors_exit_above_two(paths, capsys):
     # the exhaustive block check draws nothing, so a trial count is refused
     assert main(build_h + ["--mode", "exhaustive", "--trials", "-5"]) == 3
     assert main(build_h + ["--mode", "exhaustive", "--trials", "2000"]) == 3
-    capsys.readouterr()
+    c4 = str(paths / "c4.txt")
+    for budget in ("0", "-3"):
+        assert main(["check-minor", c4, "--s", "2", "--t", "2", "--budget", budget]) == 3
+    assert main(["check-choosable", c4, "--k", "2", "--cap-k", "0"]) == 3
+    assert main(["check-choosable", c4, "--k", "2", "--cap-n", "-1"]) == 3
+    assert main(["check-choosable", c4, "--k", "2", "--cap-n", "0", "--format", "json"]) == 3
+    assert "refused" not in capsys.readouterr().out
 
 
 def test_build_h_echoes_trials_only_for_sampled_mode(capsys):
@@ -246,6 +252,8 @@ def test_choosable_json_carries_witness(paths, capsys):
     assert doc["result"]["choosable"] is False
     lists = doc["result"]["witness"]["lists"]
     assert len(lists) == 6 and all(len(l) == 2 for l in lists)
+    verdict = is_k_choosable(complete_bipartite(3, 3), 2)
+    assert doc["result"]["assignments"] == verdict.assignments > 0
 
 
 def test_bounds_json_values(capsys):

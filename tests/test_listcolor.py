@@ -15,6 +15,7 @@ The exact checker is cross-validated three ways:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import random
@@ -30,6 +31,7 @@ from kstlab.graph import (
     complete_bipartite,
     cycle,
     empty,
+    induced_subgraph,
     path,
     petersen,
 )
@@ -269,7 +271,7 @@ def test_unverified_answers_raise(monkeypatch):
     # re-check.  Its 5-vertex subgraphs are K_{2,3} = theta_{2,2,2}, which the
     # core test answers, so the patched search runs once, on the full mask.
     monkeypatch.setattr(lc, "_bad_assignment_on",
-                        lambda g, mask, k: {v: frozenset({0, 1}) for v in range(g.n)})
+                        lambda g, mask, k: ({v: frozenset({0, 1}) for v in range(g.n)}, 1))
     with pytest.raises(RuntimeError, match="witness"):
         is_k_choosable(complete_bipartite(3, 3), 2)
 
@@ -336,30 +338,100 @@ def test_caps_refuse_oversized_inputs():
 # --- the Erdos-Rubin-Taylor core test --------------------------------------
 
 
-def _is_k_choosable_reference(g: Graph, k: int) -> ChoosabilityVerdict:
-    """``is_k_choosable`` without the two-choosable core test: every kernel
-    is searched, and the witness is padded the same way."""
+def _kernel_mask_reference(g: Graph, mask: int, k: int) -> int:
+    """Drop vertices of degree < k inside ``mask`` until none remain."""
+    changed = True
+    while changed:
+        changed = False
+        for v in bits(mask):
+            if (g.adj[v] & mask).bit_count() < k:
+                mask ^= 1 << v
+                changed = True
+    return mask
+
+
+def _bad_assignment_reference(g: Graph, mask: int, k: int):
+    """The canonical enumeration of ``listcolor``, each complete assignment
+    solved by ``find_l_coloring`` on the relabelled induced subgraph.
+    Returns the first bad assignment or None, and the assignments solved."""
+    sub, kept = induced_subgraph(g, bits(mask))
+    m = sub.n
+    lists: list[tuple[int, ...]] = []
+    support = [0] * (m * k + 1)
+    solved = 0
+
+    def rec(i: int, used: int):
+        nonlocal solved
+        if i == m:
+            solved += 1
+            if find_l_coloring(sub, ListAssignment.of_lists(lists)) is None:
+                return {kept[j]: frozenset(lists[j]) for j in range(m)}
+            return None
+        remaining_after = m - i - 1
+        deficit = sum(1 for c in range(used) if support[c] == 1)
+        if deficit > (remaining_after + 1) * k:
+            return None
+        max_new = 0 if remaining_after == 0 else k
+        for new in range(0, max_new + 1):
+            old_needed = k - new
+            if old_needed > used:
+                continue
+            must = tuple(c for c in range(used) if support[c] == 1) \
+                if remaining_after == 0 else ()
+            if len(must) > old_needed:
+                break
+            pool = [c for c in range(used) if c not in must]
+            for extra in itertools.combinations(pool, old_needed - len(must)):
+                chosen = must + extra + tuple(range(used, used + new))
+                lists.append(chosen)
+                for c in chosen:
+                    support[c] += 1
+                hit = rec(i + 1, used + new)
+                for c in chosen:
+                    support[c] -= 1
+                lists.pop()
+                if hit is not None:
+                    return hit
+        return None
+
+    hit = rec(0, 0)
+    return hit, solved
+
+
+def _is_k_choosable_reference(g: Graph, k: int, *, core_test: bool = True) -> ChoosabilityVerdict:
+    """``is_k_choosable`` as it was before its leaves were decided on color
+    class masks: the fixpoint kernel, the same memoized search over
+    vertex-deleted kernels, and every complete assignment solved by
+    ``find_l_coloring``.  The witness is padded the same way and
+    ``assignments`` counts the assignments solved.  With ``core_test=False``
+    the Erdos-Rubin-Taylor test is off and every kernel is searched."""
     memo = {}
+    solved = 0
 
     def bad_core(mask):
-        mask = lc._kernel_mask(g, mask, k)
+        nonlocal solved
+        mask = _kernel_mask_reference(g, mask, k)
         if mask == 0:
             return None
         if mask in memo:
             return memo[mask]
+        if core_test and k == 2 and lc._two_choosable_core(g, mask):
+            memo[mask] = None
+            return None
         hit = None
         for v in bits(mask):
             hit = bad_core(mask ^ (1 << v))
             if hit is not None:
                 break
         if hit is None:
-            hit = lc._bad_assignment_on(g, mask, k)
+            hit, count = _bad_assignment_reference(g, mask, k)
+            solved += count
         memo[mask] = hit
         return hit
 
     core = bad_core(g.vertex_mask())
     if core is None:
-        return ChoosabilityVerdict(k, True, None, k * g.n)
+        return ChoosabilityVerdict(k, True, None, k * g.n, solved)
     nxt = max((c for l in core.values() for c in l), default=-1) + 1
     full = []
     for v in range(g.n):
@@ -368,7 +440,7 @@ def _is_k_choosable_reference(g: Graph, k: int) -> ChoosabilityVerdict:
         else:
             full.append(frozenset(range(nxt, nxt + k)))
             nxt += k
-    return ChoosabilityVerdict(k, False, ListAssignment(tuple(full)), k * g.n)
+    return ChoosabilityVerdict(k, False, ListAssignment(tuple(full)), k * g.n, solved)
 
 
 def _theta(*lengths: int) -> Graph:
@@ -390,17 +462,51 @@ def _union(*parts: Graph) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _answer(verdict: ChoosabilityVerdict) -> ChoosabilityVerdict:
+    """The verdict without its work count."""
+    return dataclasses.replace(verdict, assignments=0)
+
+
+def _same_tree(g: Graph, k: int, **caps) -> ChoosabilityVerdict:
+    """``is_k_choosable``'s verdict, asserted equal to the frozen reference's
+    in answer, witness and assignment count."""
+    got = is_k_choosable(g, k, **caps)
+    assert got == _is_k_choosable_reference(g, k), (g.adj, k)
+    return got
+
+
 def test_core_test_keeps_every_verdict_up_to_5_vertices(all_graph_codes_by_n):
     for n, gs in all_graph_codes_by_n.items():
         for g in gs:
-            assert is_k_choosable(g, 2) == _is_k_choosable_reference(g, 2), g.adj
+            got = _same_tree(g, 2)
+            assert _answer(got) == _answer(_is_k_choosable_reference(g, 2, core_test=False)), g.adj
             if n <= 4:
-                assert is_k_choosable(g, 3) == _is_k_choosable_reference(g, 3), g.adj
+                _same_tree(g, 3)
 
 
 @given(graphs(min_n=6, max_n=6))
 def test_core_test_keeps_every_verdict_on_6_vertices(g):
-    assert is_k_choosable(g, 2) == _is_k_choosable_reference(g, 2)
+    got = _same_tree(g, 2)
+    assert _answer(got) == _answer(_is_k_choosable_reference(g, 2, core_test=False))
+
+
+def test_leaf_masks_keep_the_tree_on_seeded_7_vertex_graphs():
+    rng = random.Random(17)
+    for _ in range(200):
+        p = rng.uniform(0.25, 0.75)
+        g = Graph.from_edges(7, [e for e in itertools.combinations(range(7), 2)
+                                 if rng.random() < p])
+        _same_tree(g, 2)
+
+
+def test_leaf_masks_keep_the_tree_on_5_vertex_3_cores():
+    # 81 labelled 5-vertex graphs have a non-empty 3-core; the reference
+    # takes about 6 s for all of them, so a seeded tenth is checked here.
+    cores = [g for g in map(lambda c: graph_from_edge_code(5, c), range(1 << 10))
+             if lc._kernel_mask(g, g.vertex_mask(), 3)]
+    assert len(cores) == 81
+    for g in random.Random(3).sample(cores, 10):
+        _same_tree(g, 3)
 
 
 @pytest.mark.parametrize("g", [
@@ -434,6 +540,8 @@ def test_cores_outside_the_characterisation_are_searched(g):
     assert not verdict.choosable
     assert all(len(l) == 2 for l in verdict.witness.lists)
     assert find_l_coloring(g, verdict.witness) is None
+    assert verdict.assignments > 0
+    _same_tree(g, 2, max_vertices=9)
 
 
 # --- cross-validation against the brute oracle ---------------------------

@@ -3,6 +3,7 @@ deliberate change: it has to edit the list below."""
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import kstlab
@@ -78,3 +79,11 @@ def test_public_names_are_pinned():
     assert not hasattr(kstlab, "greedy_degeneracy_bound")
     assert not hasattr(listcolor, "greedy_degeneracy_bound")
     assert "block_node_cap" not in inspect.signature(kstlab.build_gadget).parameters
+
+
+def test_choosability_verdict_fields_keep_their_positions():
+    # the work count is the last field and defaults to 0, so verdicts built
+    # positionally with four fields still construct
+    fields = [f.name for f in dataclasses.fields(kstlab.ChoosabilityVerdict)]
+    assert fields == ["k", "choosable", "witness", "universe_size", "assignments"]
+    assert kstlab.ChoosabilityVerdict(2, True, None, 8).assignments == 0
