@@ -17,7 +17,9 @@ the echoed trials is null.  build-counterexample always verifies its
 assembly: the exact solver and the pigeonhole check on every proper
 B-coloring.  Every command runs single-threaded: --threads and
 --deterministic are accepted for compatibility, ignored, and left out of
-the echoed configuration.
+the echoed configuration.  --out rewrites an existing file in place and
+trims it to the new report, so it keeps the same file, permissions and
+symlink target; as before, the write is neither atomic nor fsynced.
 """
 
 from __future__ import annotations
@@ -27,8 +29,11 @@ import csv
 import functools
 import io
 import json
+import os
+import stat
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from . import construction as cx
 from . import graph as gr
@@ -85,15 +90,28 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return out
 
 
+def _open_in_place(path, flags: int) -> int:
+    """``open`` mode "w" without O_TRUNC: truncating a file to zero bytes
+    before rewriting it costs more than the whole write on some file
+    systems (ext4 flushes its delayed allocation), so ``_write`` overwrites
+    the old bytes and trims what is left of them."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write(args, body: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="",
+                  opener=_open_in_place) as fh:
             fh.write(body)
+            # a device such as /dev/null cannot be truncated, nor needs it
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     else:
         sys.stdout.write(body)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines: Callable[[], list[str]]) -> None:
+    """Write the report; the human lines are built only when printed."""
     if args.format == "json":
         doc = {
             "format_version": FORMAT_VERSION,
@@ -103,7 +121,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
         }
         body = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
-        body = "\n".join(text_lines) + "\n"
+        body = "\n".join(text_lines()) + "\n"
     _write(args, body)
 
 
@@ -127,10 +145,14 @@ def _cmd_check_minor(args) -> int:
         "atoms_searched": res.atoms_searched,
         "model": res.model.to_json_dict() if res.model else None,
     }
-    lines = [f"check-minor K_{{{q.s},{q.t}}}: {res.status.value} "
-             f"({res.nodes_expanded} nodes, {res.atoms_searched} atoms searched)"]
-    if res.model:
-        lines.append(json.dumps(res.model.to_json_dict(), sort_keys=True))
+
+    def lines():
+        text = [f"check-minor K_{{{q.s},{q.t}}}: {res.status.value} "
+                f"({res.nodes_expanded} nodes, {res.atoms_searched} atoms searched)"]
+        if res.model:
+            text.append(json.dumps(payload["model"], sort_keys=True))
+        return text
+
     _emit(args, payload, lines)
     return {mn.SearchStatus.FOUND: EXIT_YES,
             mn.SearchStatus.NOT_FOUND: EXIT_NO,
@@ -144,9 +166,13 @@ def _cmd_check_lcolor(args) -> int:
     colorable = coloring is not None
     payload = {"colorable": colorable,
                "coloring": list(coloring) if colorable else None}
-    lines = [f"check-lcolor: {'colorable' if colorable else 'no list coloring'}"]
-    if colorable:
-        lines.append(" ".join(str(c) for c in coloring))
+
+    def lines():
+        text = [f"check-lcolor: {'colorable' if colorable else 'no list coloring'}"]
+        if colorable:
+            text.append(" ".join(str(c) for c in coloring))
+        return text
+
     _emit(args, payload, lines)
     return EXIT_YES if colorable else EXIT_NO
 
@@ -162,10 +188,14 @@ def _cmd_check_choosable(args) -> int:
         "assignments": verdict.assignments,
         "witness": verdict.witness.to_json_dict() if verdict.witness else None,
     }
-    lines = [f"check-choosable k={args.k}: "
-             f"{'choosable' if verdict.choosable else 'NOT choosable'}"]
-    if verdict.witness:
-        lines.append(json.dumps(verdict.witness.to_json_dict(), sort_keys=True))
+
+    def lines():
+        text = [f"check-choosable k={args.k}: "
+                f"{'choosable' if verdict.choosable else 'NOT choosable'}"]
+        if verdict.witness:
+            text.append(json.dumps(payload["witness"], sort_keys=True))
+        return text
+
     _emit(args, payload, lines)
     return EXIT_YES if verdict.choosable else EXIT_NO
 
@@ -188,11 +218,16 @@ def _cmd_build_h(args) -> int:
         "graph": gr.to_json_dict(build.graph) if build.ok else None,
         "attempts": [a.to_json_dict() for a in build.attempts],
     }
-    status = f"built after {len(build.attempts)} attempt(s)" if build.ok else "gave up"
-    # a '#' comment, so the human report of a built gadget is a gadget file
-    lines = [f"# build-h: {status}"]
-    if build.ok:
-        lines.append(gr.to_edge_list(build.graph).rstrip("\n"))
+
+    def lines():
+        status = (f"built after {len(build.attempts)} attempt(s)" if build.ok
+                  else "gave up")
+        # a '#' comment, so the human report of a built gadget is a gadget file
+        text = [f"# build-h: {status}"]
+        if build.ok:
+            text.append(gr.to_edge_list(build.graph).rstrip("\n"))
+        return text
+
     _emit(args, payload, lines)
     return EXIT_YES if build.ok else EXIT_NO
 
@@ -222,11 +257,11 @@ def _cmd_build_counterexample(args) -> int:
                            "all_blocked": all_blocked},
         },
     }
-    lines = [f"build-counterexample: {asm.graph.n} vertices, "
-             f"{len(asm.colorings)} copies, palette {asm.palette_size}",
-             f"list coloring found: {coloring is not None}",
-             f"pigeonhole blocked all proper B-colorings: {all_blocked}"]
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: [
+        f"build-counterexample: {asm.graph.n} vertices, "
+        f"{len(asm.colorings)} copies, palette {asm.palette_size}",
+        f"list coloring found: {coloring is not None}",
+        f"pigeonhole blocked all proper B-colorings: {all_blocked}"])
     return EXIT_YES if coloring is None else EXIT_NO
 
 
@@ -245,13 +280,12 @@ def _cmd_bounds(args) -> int:
         "block_failure_exponent": block,
         "degree_failure_exponent": degree,
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"params: eps={params.epsilon} C={params.c_const} "
         f"f={params.max_block_size} delta={params.delta}",
         f"block failure exponent at n={args.n}: {block!r}",
         f"degree failure exponent at n={args.n}: {degree!r}",
-    ]
-    _emit(args, payload, lines)
+    ])
     return EXIT_YES
 
 
@@ -275,13 +309,16 @@ def _cmd_experiment(args) -> int:
         _write(args, buf.getvalue())
         return EXIT_YES
     payload = {"rows": [vars(r) | {"p": repr(r.p)} for r in rows]}
-    by_n = {}
-    for r in rows:
-        by_n.setdefault(r.n, []).append(r)
-    lines = [f"n={n}: p={group[0].p:.4f} "
-             f"pass {sum(r.degree_pass for r in group)}/{len(group)} "
-             f"max degree {max(r.max_degree for r in group)}"
-             for n, group in sorted(by_n.items())]
+
+    def lines():
+        by_n = {}
+        for r in rows:
+            by_n.setdefault(r.n, []).append(r)
+        return [f"n={n}: p={group[0].p:.4f} "
+                f"pass {sum(r.degree_pass for r in group)}/{len(group)} "
+                f"max degree {max(r.max_degree for r in group)}"
+                for n, group in sorted(by_n.items())]
+
     _emit(args, payload, lines)
     return EXIT_YES
 
@@ -397,7 +434,8 @@ def main(argv=None) -> int:
                 cx.EnumerationCapError) as exc:
             # Caps are ValueErrors, so this precedes the usage clause; the
             # outer try still maps a failed --out write to a usage error.
-            _emit(args, {"refused": str(exc)}, [f"{args.command}: refused: {exc}"])
+            _emit(args, {"refused": str(exc)},
+                  lambda: [f"{args.command}: refused: {exc}"])
             return EXIT_LIMIT
     except (OSError, ValueError, KeyError, gr.GraphFormatError) as exc:
         print(f"kstlab: error: {exc}", file=sys.stderr)

@@ -383,6 +383,60 @@ def test_build_h_byte_identical(tmp_path):
     assert b1 == b2
 
 
+# --- --out rewrites in place ---------------------------------------------------
+
+BUILD_H = ["build-h", "--eps", "5/6", "--C", "4/3", "--delta", "2/3",
+           "--mode", "exhaustive"]
+SMALL_H = BUILD_H + ["--n", "6", "--m", "8", "--seed", "11"]
+LARGE_H = BUILD_H + ["--n", "18", "--m", "24", "--seed", "5"]
+
+
+def test_shorter_report_over_a_longer_one_is_a_fresh_write(tmp_path):
+    fresh, reused = tmp_path / "fresh.txt", tmp_path / "reused.txt"
+    assert main(SMALL_H + ["--out", str(fresh)]) == 0
+    assert main(LARGE_H + ["--out", str(reused)]) == 0
+    assert reused.stat().st_size > fresh.stat().st_size
+    reused.chmod(0o600)
+    before = reused.stat()
+    assert main(SMALL_H + ["--out", str(reused)]) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+    # the same file, with the permissions it had
+    after = reused.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+
+def test_refusal_over_a_longer_report_is_trimmed(tmp_path, capsys):
+    refusal = ["build-counterexample", "--fixture", "tiny", "--max-vertices", "5",
+               "--format", "json"]
+    fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+    assert main(refusal + ["--out", str(fresh)]) == 2
+    assert main(["build-counterexample", "--fixture", "tiny", "--format", "json",
+                 "--out", str(reused)]) == 0
+    assert reused.stat().st_size > fresh.stat().st_size
+    assert main(refusal + ["--out", str(reused)]) == 2
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert set(json.loads(reused.read_text())["result"]) == {"refused"}
+    assert capsys.readouterr().out == ""
+
+
+def test_out_through_a_symlink_updates_its_target(tmp_path):
+    fresh, target, link = tmp_path / "fresh.txt", tmp_path / "target.txt", tmp_path / "link.txt"
+    assert main(SMALL_H + ["--out", str(fresh)]) == 0
+    target.write_text("stale\n" * 10_000)
+    link.symlink_to(target)
+    assert main(SMALL_H + ["--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")
+def test_out_to_dev_null(paths, capsys):
+    # a character device: written, but not truncated
+    assert main(["check-minor", str(paths / "c4.txt"), "--s", "2", "--t", "2",
+                 "--format", "json", "--out", "/dev/null"]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_python_dash_m_entry_point(paths):
     import subprocess
     import sys
