@@ -11,9 +11,9 @@ its default, and --format csv on any other command is a usage error (3).
 Reports embed a format_version and the full run configuration.  The human
 report of build-h is a gadget file: its status line is a '#' comment, so
 check-minor and build-counterexample --graph read it (stdout or --out) as
-it stands.  build-h takes --trials in sampled mode only (default 2000);
-with --mode exhaustive, which draws nothing, --trials is a usage error and
-the echoed trials is null.  build-counterexample always verifies its
+it stands.  build-h decides the block property of every attempt exactly;
+its --mode has the one choice exhaustive, also the default, and past the
+enumeration cap it refuses (2).  build-counterexample always verifies its
 assembly: the exact solver and the pigeonhole check on every proper
 B-coloring.  Every command runs single-threaded: --threads and
 --deterministic are accepted for compatibility, ignored, and left out of
@@ -47,8 +47,6 @@ EXIT_NO = 1
 EXIT_LIMIT = 2
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
-
-SAMPLED_TRIALS = 2000  # build-h --mode sampled default
 
 
 def _fraction(text: str) -> Fraction:
@@ -201,18 +199,8 @@ def _cmd_check_choosable(args) -> int:
 
 
 def _cmd_build_h(args) -> int:
-    if args.mode == "exhaustive":
-        if args.trials is not None:
-            raise ValueError("--trials sets the sampled block check; "
-                             "--mode exhaustive reads no trials")
-    elif args.trials is None:
-        args.trials = SAMPLED_TRIALS
-    build = cx.build_gadget(
-        args.m, args.n, _gadget_params(args), args.seed,
-        max_retries=args.max_retries,
-        block_mode=args.mode,
-        block_trials=args.trials,  # None in exhaustive mode, which reads none
-    )
+    build = cx.build_gadget(args.m, args.n, _gadget_params(args), args.seed,
+                            max_retries=args.max_retries)
     payload = {
         "built": build.ok,
         "graph": gr.to_json_dict(build.graph) if build.ok else None,
@@ -290,22 +278,16 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    rows = cx.degree_property_sweep(
-        args.n, args.trials,
-        epsilon=args.eps, c_const=args.C, delta=args.delta,
-        seed=args.seed, block_trials=args.block_trials,
-    )
+    rows = cx.degree_property_sweep(args.n, args.trials, epsilon=args.eps,
+                                    c_const=args.C, delta=args.delta, seed=args.seed)
     if args.format == "csv":
         buf = io.StringIO()
         buf.write("# config: " + json.dumps(_config_echo(args), sort_keys=True)
                   + f" format_version={FORMAT_VERSION}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "seed", "p", "max_degree", "degree_pass",
-                         "block_status", "block_failures", "trials"])
+        writer.writerow(["n", "seed", "p", "max_degree", "degree_pass"])
         for r in rows:
-            writer.writerow([r.n, r.seed, repr(r.p), r.max_degree,
-                             r.degree_pass, r.block_status, r.block_failures,
-                             r.trials])
+            writer.writerow([r.n, r.seed, repr(r.p), r.max_degree, r.degree_pass])
         _write(args, buf.getvalue())
         return EXIT_YES
     payload = {"rows": [vars(r) | {"p": repr(r.p)} for r in rows]}
@@ -379,11 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the derived edge exponent (then f = 1)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-retries", type=int, default=32)
-    p.add_argument("--mode", choices=["exhaustive", "sampled"],
-                   default="sampled", help="block-property check mode")
-    p.add_argument("--trials", type=int, default=None,
-                   help=f"sampled block-property trials per attempt (default "
-                        f"{SAMPLED_TRIALS}; not accepted with --mode exhaustive)")
+    p.add_argument("--mode", choices=["exhaustive"], default="exhaustive",
+                   help="block-property check mode (exact; the only choice)")
     common(p)
     p.set_defaults(func=_cmd_build_h)
 
@@ -413,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--C", type=_fraction, default=Fraction(1))
     p.add_argument("--delta", type=_fraction, default=None)
-    p.add_argument("--block-trials", type=int, default=0)
     common(p, formats=("human", "json", "csv"), fmt_default="csv")
     p.set_defaults(func=_cmd_experiment)
 

@@ -140,13 +140,9 @@ def _sample_hits(n: int, params: GadgetParams, seed: int) -> np.ndarray:
 def sample_bipartite(n: int, params: GadgetParams, seed: int) -> Graph:
     """Random bipartite graph: floor(C*n) A-vertices, n B-vertices, each
     cross pair an edge independently with probability n**(-delta).
-    Deterministic in (n, params, seed)."""
-    return _hits_graph(_sample_hits(n, params, seed))
-
-
-def _hits_graph(hits: np.ndarray) -> Graph:
-    """The labelled bipartite graph of a hit matrix: A first, then B."""
-    ma, n = hits.shape
+    The A vertices come first, then B.  Deterministic in (n, params, seed)."""
+    hits = _sample_hits(n, params, seed)
+    ma = hits.shape[0]
     edges = [(int(a), ma + int(b)) for a, b in np.argwhere(hits)]
     labels = (LABEL_A,) * ma + (LABEL_B,) * n
     return Graph.from_edges(ma + n, edges, labels)
@@ -182,14 +178,13 @@ class BlockWitness:
 
 @dataclass(frozen=True)
 class BlockCheck:
-    """status: 'verified' (exhaustive), 'falsified' (witness attached), or
-    'unknown_sampled' (sampled trials only, no failure seen)."""
+    """status: 'verified', or 'falsified' with a witness attached."""
 
     status: str
     witness: BlockWitness | None
-    trials: int
-    failures: int
-    nodes: int = 0  # exhaustive enumeration nodes, both sides; 0 when sampled
+    trials: int  # always 0; kept while benchmark/tracing.py still reads it
+    failures: int  # 1 exactly when falsified
+    nodes: int = 0  # enumeration nodes, both sides
 
 
 def block_collection_joined(g: Graph, xs, ys) -> bool:
@@ -263,17 +258,8 @@ def _block_collections(pool, k: int, sizes: range, total: int | None,
         stack.append(candidates(ai + 1, used, k - len(chosen), state))
 
 
-def check_block_property(
-    g: Graph,
-    max_block_size: int,
-    epsilon,
-    n: int,
-    *,
-    mode: str = "sampled",
-    trials: int = 100_000,
-    seed: int | None = None,
-) -> BlockCheck:
-    """Check the block-connection property at k = ceil(epsilon * n).
+def check_block_property(g: Graph, max_block_size: int, epsilon, n: int) -> BlockCheck:
+    """Decide the block-connection property at k = ceil(epsilon * n).
 
     The property: for every choice of k disjoint non-empty subsets
     X_1..X_k of the A side and k disjoint non-empty subsets Y_1..Y_k of the
@@ -282,8 +268,7 @@ def check_block_property(
     larger collection sizes: any bad larger collection restricts to a bad
     k-collection by dropping sets, since losing sets can only lose pairs.
 
-    mode='exhaustive' decides the property exactly while enumerating the
-    X side only:
+    The check is exact and enumerates the X side only:
 
     * Let CN(X_i) be the common neighbourhood of X_i in B; Y_j is joined to
       X_i iff Y_j is inside CN(X_i).  Growing an X_i only shrinks CN(X_i),
@@ -310,16 +295,11 @@ def check_block_property(
 
     X-collections come in the canonical order of ascending minimum element
     (lexicographic for f = 1), and the cut keeps the order of those that
-    survive; the first bad one is the witness, with Y the bad singletons
-    lowest in B order, then the subsets the search found.  Both
-    enumerations count their candidate sets as nodes, cut or not, report
-    the count as ``nodes`` and refuse (``EnumerationCapError``) beyond
-    ``_BLOCK_NODE_CAP`` of them.
-
-    mode='sampled' draws ``trials`` random collections with a generator
-    seeded by ``seed`` and reports 'unknown_sampled' when no failure is
-    seen.  A concrete failing collection, however found, is returned as a
-    witness ('falsified').
+    survive; the first bad one is the witness ('falsified'), with Y the bad
+    singletons lowest in B order, then the subsets the search found.  When
+    none is bad the property is 'verified'.  Both enumerations count their
+    candidate sets as nodes, cut or not, report the count as ``nodes`` and
+    refuse (``EnumerationCapError``) beyond ``_BLOCK_NODE_CAP`` of them.
     """
     epsilon = _frac(epsilon)
     k = _ceil(epsilon * n)
@@ -329,82 +309,40 @@ def check_block_property(
     b_part = list(g.part(LABEL_B))
     if len(a_part) < k or len(b_part) < k:
         raise ValueError("sides too small for the requested collection size")
-    if mode == "exhaustive":
-        f = max_block_size
-        b_mask = mask_of(b_part)
+    f = max_block_size
+    b_mask = mask_of(b_part)
 
-        def common(x_i) -> int:
-            cn = b_mask
-            for x in x_i:
-                cn &= g.adj[x]
-            return cn
+    def common(x_i) -> int:
+        cn = b_mask
+        for x in x_i:
+            cn &= g.adj[x]
+        return cn
 
-        def extend(covered: int, x_i):
-            covered |= common(x_i)
-            u = covered.bit_count()
-            room = len(b_part) - u + (u // 2 if f > 1 else 0)
-            return covered if room >= k else None
+    def extend(covered: int, x_i):
+        covered |= common(x_i)
+        u = covered.bit_count()
+        room = len(b_part) - u + (u // 2 if f > 1 else 0)
+        return covered if room >= k else None
 
-        counter = [0]
-        for xs in _block_collections(a_part, k, range(1, f + 1),
-                                     min(len(a_part), k * f), counter, extend):
-            cns, covered = [], 0
-            for x_i in xs:
-                cns.append(common(x_i))
-                covered |= cns[-1]
-            bad = [(y,) for y in b_part if not covered >> y & 1]
-            if len(bad) < k and f > 1:
-                inside = [y for y in b_part if covered >> y & 1]
-                packing = next(_block_collections(
-                    inside, k - len(bad), range(2, f + 1), None, counter,
-                    lambda s, ys: s if all(mask_of(ys) & ~cn for cn in cns) else None),
-                    ())
-                bad = sorted(bad + list(packing))
-            if len(bad) >= k:
-                return BlockCheck("falsified", BlockWitness(xs, tuple(bad[:k])), 0, 1,
-                                  counter[0])
-        return BlockCheck("verified", None, 0, 0, counter[0])
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
-    if seed is None:
-        raise ValueError("sampled mode needs a seed")
-    if trials < 1:
-        raise ValueError(f"sampled mode needs trials >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    failures = 0
-    witness = None
-    for _ in range(trials):
-        xs = _sample_collection(rng, a_part, k, max_block_size)
-        ys = _sample_collection(rng, b_part, k, max_block_size)
-        if not block_collection_joined(g, xs, ys):
-            failures += 1
-            if witness is None:
-                witness = BlockWitness(xs, ys)
-    if failures:
-        return BlockCheck("falsified", witness, trials, failures)
-    return BlockCheck("unknown_sampled", None, trials, 0)
-
-
-def _sample_collection(rng, pool: list[int], k: int, f: int):
-    """k disjoint subsets of pool: sizes uniform on 1..f (truncated so they
-    fit), carved from a random permutation."""
-    sizes = [int(rng.integers(1, f + 1)) for _ in range(k)]
-    total = sum(sizes)
-    if total > len(pool):
-        # shrink overflowing sets to singletons, largest first
-        order = sorted(range(k), key=lambda i: -sizes[i])
-        for i in order:
-            if total <= len(pool):
-                break
-            total -= sizes[i] - 1
-            sizes[i] = 1
-    perm = [pool[i] for i in rng.permutation(len(pool))]
-    out = []
-    at = 0
-    for sz in sizes:
-        out.append(tuple(sorted(perm[at:at + sz])))
-        at += sz
-    return tuple(out)
+    counter = [0]
+    for xs in _block_collections(a_part, k, range(1, f + 1),
+                                 min(len(a_part), k * f), counter, extend):
+        cns, covered = [], 0
+        for x_i in xs:
+            cns.append(common(x_i))
+            covered |= cns[-1]
+        bad = [(y,) for y in b_part if not covered >> y & 1]
+        if len(bad) < k and f > 1:
+            inside = [y for y in b_part if covered >> y & 1]
+            packing = next(_block_collections(
+                inside, k - len(bad), range(2, f + 1), None, counter,
+                lambda s, ys: s if all(mask_of(ys) & ~cn for cn in cns) else None),
+                ())
+            bad = sorted(bad + list(packing))
+        if len(bad) >= k:
+            return BlockCheck("falsified", BlockWitness(xs, tuple(bad[:k])), 0, 1,
+                              counter[0])
+    return BlockCheck("verified", None, 0, 0, counter[0])
 
 
 # --- probability bound exponents (log space) ------------------------------
@@ -490,11 +428,9 @@ def build_gadget(
     seed: int,
     *,
     max_retries: int = 32,
-    block_mode: str = "sampled",
-    block_trials: int = 2000,
 ) -> GadgetBuild:
     """Sample until a bipartite draw satisfies the degree property (and the
-    block property does not falsify), then return the gadget: the complement
+    block property is verified), then return the gadget: the complement
     of the induced graph on the first m A-vertices plus all n B-vertices.
 
     In the gadget both parts are cliques and each vertex has at most
@@ -512,14 +448,9 @@ def build_gadget(
         s = _derived_seed(seed, r)
         gp = sample_bipartite(n, params, s)
         deg = check_degree_property(gp, params.epsilon, n)
-        blocks = check_block_property(
-            gp, params.max_block_size, params.epsilon, n,
-            mode=block_mode,
-            trials=block_trials,
-            seed=_derived_seed(seed, r, 1),
-        )
+        blocks = check_block_property(gp, params.max_block_size, params.epsilon, n)
         attempts.append(SampleReport(s, n, ma, params.edge_probability(n), deg, blocks))
-        if deg.passed and blocks.status != "falsified":
+        if deg.passed and blocks.status == "verified":
             a_keep = list(range(m)) + list(range(ma, ma + n))
             sub, _ = induced_subgraph(gp, a_keep)
             h = complement(sub)
@@ -775,9 +706,6 @@ class SweepRow:
     p: float
     max_degree: int
     degree_pass: bool
-    block_status: str
-    block_failures: int
-    trials: int
 
 
 def degree_property_sweep(
@@ -788,7 +716,6 @@ def degree_property_sweep(
     c_const,
     delta=None,
     seed: int,
-    block_trials: int = 0,
 ) -> list[SweepRow]:
     """Seeded Monte Carlo sweep of the degree property across sizes.
 
@@ -796,17 +723,12 @@ def degree_property_sweep(
     Per-trial seeds derive from (seed, n, trial), so the report depends on
     the arguments alone.  The maximum degree is read off the row and column
     sums of the draw's hit matrix.  ``delta`` defaults to the canonical
-    derived value; pass an explicit Fraction to rescale the sweep.  With
-    block_trials > 0 each draw is also built as a graph and gets a sampled
-    block-property check with blocks of size f = 1, otherwise the block
-    columns read 'skipped'.
+    derived value; pass an explicit Fraction to rescale the sweep.
     """
     if trials < 1:
         raise ValueError(f"the sweep needs trials >= 1, got {trials}")
     if not ns:
         raise ValueError("the sweep needs at least one size n")
-    if block_trials < 0:
-        raise ValueError(f"block_trials must be >= 0, got {block_trials}")
     epsilon = _frac(epsilon)
     c_const = _frac(c_const)
     if delta is None:
@@ -821,14 +743,6 @@ def degree_property_sweep(
             s = _derived_seed(seed, n, trial)
             hits = _sample_hits(n, params, s)
             max_degree = int(max(hits.sum(axis=0).max(), hits.sum(axis=1).max()))
-            if block_trials > 0:
-                blocks = check_block_property(
-                    _hits_graph(hits), 1, epsilon, n,
-                    mode="sampled", trials=block_trials,
-                    seed=_derived_seed(seed, n, trial, 1))
-                status, failures, bt = blocks.status, blocks.failures, blocks.trials
-            else:
-                status, failures, bt = "skipped", 0, 0
             rows.append(SweepRow(n, s, params.edge_probability(n), max_degree,
-                                 max_degree <= epsilon * n, status, failures, bt))
+                                 max_degree <= epsilon * n))
     return rows

@@ -131,16 +131,15 @@ def test_usage_errors_exit_above_two(paths, capsys):
     assert main(sweep + ["--n", "4", "--trials", "-1"]) == 3
     assert main(sweep + ["--n", "4", "--trials", "0"]) == 3
     assert main(sweep + ["--n", ",", "--trials", "5"]) == 3
-    assert main(sweep + ["--n", "4", "--trials", "5", "--block-trials", "-1"]) == 3
+    # no option selects or tunes a sampled block check
+    assert main(sweep + ["--n", "4", "--trials", "5", "--block-trials", "5"]) == 3
     assert main(["bounds", "--eps", "1/2", "--C", "1", "--n", "0"]) == 3
     assert main(["bounds", "--eps", "1/2", "--C", "1", "--n", "-3"]) == 3
     build_h = ["build-h", "--n", "6", "--m", "8", "--eps", "5/6", "--C", "4/3",
                "--delta", "2/3", "--seed", "11"]
     assert main(build_h + ["--mode", "exhaustive", "--max-retries", "0"]) == 3
-    assert main(build_h + ["--trials", "-5"]) == 3
-    # the exhaustive block check draws nothing, so a trial count is refused
-    assert main(build_h + ["--mode", "exhaustive", "--trials", "-5"]) == 3
-    assert main(build_h + ["--mode", "exhaustive", "--trials", "2000"]) == 3
+    assert main(build_h + ["--mode", "sampled"]) == 3
+    assert main(build_h + ["--trials", "2000"]) == 3
     c4 = str(paths / "c4.txt")
     for budget in ("0", "-3"):
         assert main(["check-minor", c4, "--s", "2", "--t", "2", "--budget", budget]) == 3
@@ -150,13 +149,17 @@ def test_usage_errors_exit_above_two(paths, capsys):
     assert "refused" not in capsys.readouterr().out
 
 
-def test_build_h_echoes_trials_only_for_sampled_mode(capsys):
+def test_build_h_is_exhaustive_by_default(capsys):
     base = ["build-h", "--n", "6", "--m", "8", "--eps", "5/6", "--C", "4/3",
-            "--delta", "2/3", "--seed", "11", "--format", "json"]
-    assert main(base + ["--mode", "exhaustive"]) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["trials"] is None
-    assert main(base + ["--max-retries", "1"]) in (0, 1)
-    assert json.loads(capsys.readouterr().out)["config"]["trials"] == 2000
+            "--delta", "2/3", "--seed", "11"]
+    for fmt in ("human", "json"):
+        assert main(base + ["--format", fmt]) == 0
+        default = capsys.readouterr().out
+        assert main(base + ["--format", fmt, "--mode", "exhaustive"]) == 0
+        assert capsys.readouterr().out == default
+    config = json.loads(default)["config"]
+    assert config["mode"] == "exhaustive"
+    assert "trials" not in config
 
 
 # JSON true loads as a Python bool, an int subclass; it is rejected as an
@@ -284,7 +287,7 @@ def test_experiment_csv_shape(tmp_path):
                  "--delta", "1/2", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# config:")
-    assert lines[1] == "n,seed,p,max_degree,degree_pass,block_status,block_failures,trials"
+    assert lines[1] == "n,seed,p,max_degree,degree_pass"
     assert len(lines) == 2 + 8
     assert [row.split(",")[0] for row in lines[2:]] == ["16"] * 4 + ["32"] * 4
 

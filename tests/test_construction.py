@@ -157,14 +157,14 @@ def test_degree_property_exact_boundary():
 
 def test_block_property_complete_bipartite_verified():
     g = complete_bipartite(4, 4)
-    check = check_block_property(g, 1, F(1, 2), 4, mode="exhaustive")
+    check = check_block_property(g, 1, F(1, 2), 4)
     assert check.status == "verified"
 
 
 def test_block_property_edgeless_falsified_with_witness():
     from kstlab.graph import Graph
     g = Graph(8, (0,) * 8, ("A",) * 4 + ("B",) * 4)
-    check = check_block_property(g, 1, F(1, 2), 4, mode="exhaustive")
+    check = check_block_property(g, 1, F(1, 2), 4)
     assert check.status == "falsified"
     w = check.witness
     # the witness is independently checkable: no pair of its blocks joined
@@ -188,7 +188,7 @@ def test_block_property_matches_singleton_oracle():
     seen = set()
     for seed in range(40):
         g = sample_bipartite(4, params, seed=seed)
-        got = check_block_property(g, 1, F(1, 2), 4, mode="exhaustive")
+        got = check_block_property(g, 1, F(1, 2), 4)
         want = _singleton_oracle(g, F(1, 2), 4)
         assert got.status == want, seed
         seen.add(want)
@@ -248,7 +248,7 @@ def _labelled_bipartite(draw):
 def _check_block_against_reference(g, f, k):
     """Assert the exhaustive check agrees with the double loop; return its
     status."""
-    got = check_block_property(g, f, F(k), 1, mode="exhaustive")
+    got = check_block_property(g, f, F(k), 1)
     want = _block_reference(g, f, k)
     assert got.status == ("verified" if want is None else "falsified")
     if got.witness is not None:
@@ -323,7 +323,7 @@ def _check_block_against_unpruned(g, f, eps, n):
     """Assert the check and the unpruned loop give the same status and
     witness, and that the cut visits no more nodes; return the status and
     whether it visited fewer."""
-    got = check_block_property(g, f, eps, n, mode="exhaustive")
+    got = check_block_property(g, f, eps, n)
     want, nodes = _block_unpruned(g, f, math.ceil(eps * n))
     assert got.status == ("verified" if want is None else "falsified")
     assert (None if got.witness is None else (got.witness.xs, got.witness.ys)) == want
@@ -363,38 +363,12 @@ def test_block_property_cut_matches_unpruned_on_random_graphs():
         (status, f) for status in ("verified", "falsified") for f in (1, 2, 3)}
 
 
-def test_block_property_sampled_mode():
-    params = GadgetParams(F(1, 2), F(1), 1, F(1, 2))
-    g = sample_bipartite(4, params, seed=7)
-    a = check_block_property(g, 1, F(1, 2), 4, mode="sampled", trials=500,
-                             seed=11)
-    b = check_block_property(g, 1, F(1, 2), 4, mode="sampled", trials=500,
-                             seed=11)
-    assert (a.status, a.failures, a.trials) == (b.status, b.failures, b.trials)
-    assert a.status in {"falsified", "unknown_sampled"}
-    if a.status == "falsified":
-        assert a.witness is not None
-        assert not any(block_collection_joined(g, (x,), (y,))
-                       for x in a.witness.xs for y in a.witness.ys)
-    exhaustive = check_block_property(g, 1, F(1, 2), 4, mode="exhaustive")
-    if exhaustive.status == "verified":
-        assert a.status == "unknown_sampled"
-
-
 def test_block_property_exhaustive_cap_refusal(monkeypatch):
     monkeypatch.setattr(construction, "_BLOCK_NODE_CAP", 1000)
     params = GadgetParams(F(1, 2), F(1), 2, F(1, 16))
     g = sample_bipartite(14, params, seed=0)
     with pytest.raises(EnumerationCapError, match="exceeded cap 1000$"):
-        check_block_property(g, 2, F(1, 2), 14, mode="exhaustive")
-
-
-def test_block_property_sampled_needs_a_trial():
-    g = complete_bipartite(4, 4)
-    for trials in (0, -5):
-        with pytest.raises(ValueError, match="trials >= 1"):
-            check_block_property(g, 1, F(1, 2), 4, mode="sampled",
-                                 trials=trials, seed=1)
+        check_block_property(g, 2, F(1, 2), 14)
 
 
 def test_block_collection_joined_basic():
@@ -494,7 +468,7 @@ def test_degree_exponent_spot_value_at_million():
 
 
 def test_build_gadget_postconditions():
-    build = build_gadget(8, 6, DESK, seed=11, block_mode="exhaustive")
+    build = build_gadget(8, 6, DESK, seed=11)
     assert build.ok
     h = build.graph
     a, b = h.part("A"), h.part("B")
@@ -508,17 +482,14 @@ def test_build_gadget_postconditions():
 
 def test_block_check_reports_its_nodes():
     # candidate sets of both enumerations, counted whether cut or not
-    build = build_gadget(8, 6, DESK, seed=11, block_mode="exhaustive")
+    build = build_gadget(8, 6, DESK, seed=11)
     assert [rep.blocks.nodes for rep in build.attempts] == [7]
     assert build.attempts[-1].to_json_dict()["blocks"]["nodes"] == 7
-    g = sample_bipartite(4, GadgetParams(F(1, 2), F(1), 1, F(1, 2)), seed=7)
-    sampled = check_block_property(g, 1, F(1, 2), 4, mode="sampled", trials=50, seed=1)
-    assert sampled.nodes == 0
 
 
 def test_build_gadget_exhaustive_at_24x18():
     # refused at the 2,000,001st node before the X enumeration was cut
-    build = build_gadget(24, 18, DESK, seed=5, block_mode="exhaustive")
+    build = build_gadget(24, 18, DESK, seed=5)
     assert build.ok
     assert [(rep.blocks.status, rep.blocks.nodes) for rep in build.attempts] == [
         ("verified", 165)]
@@ -533,12 +504,12 @@ def test_build_gadget_non_neighbor_check_raises(monkeypatch):
                         lambda g, epsilon, n: DegreeCheck(True, 0, None))
     dense = GadgetParams(F(1, 6), F(1), 1, F(1, 100))
     with pytest.raises(RuntimeError, match="non-neighbors"):
-        build_gadget(6, 6, dense, seed=3, block_trials=1)
+        build_gadget(6, 6, dense, seed=3)
 
 
 def test_build_gadget_deterministic():
-    b1 = build_gadget(8, 6, DESK, seed=11, block_mode="exhaustive")
-    b2 = build_gadget(8, 6, DESK, seed=11, block_mode="exhaustive")
+    b1 = build_gadget(8, 6, DESK, seed=11)
+    b2 = build_gadget(8, 6, DESK, seed=11)
     assert b1.graph == b2.graph
     assert len(b1.attempts) == len(b2.attempts)
 
@@ -547,8 +518,7 @@ def test_build_gadget_gives_up_honestly():
     # at eps=5/26 and n=6 the degree bound forces a near-matching, which
     # always contains an empty singleton collection: no sample can pass
     params = GadgetParams(F(5, 26), F(3, 2), 1, F(1, 2))
-    build = build_gadget(8, 6, params, seed=1, max_retries=6,
-                         block_mode="exhaustive")
+    build = build_gadget(8, 6, params, seed=1, max_retries=6)
     assert not build.ok
     assert build.graph is None
     assert len(build.attempts) == 6
@@ -570,7 +540,7 @@ def test_build_gadget_minor_status_is_informative():
     # asymptotically the gadget avoids K_{s,t} minors for suitable (s,t);
     # at desk scale the guarantee has no force, so the exact answer is
     # recorded either way and only search completion is asserted
-    build = build_gadget(8, 6, DESK, seed=11, block_mode="exhaustive")
+    build = build_gadget(8, 6, DESK, seed=11)
     from kstlab.minors import MinorQuery, SearchStatus, find_kst_minor
     res = find_kst_minor(build.graph, MinorQuery(6, 7))
     assert res.status in (SearchStatus.FOUND, SearchStatus.NOT_FOUND)
@@ -580,7 +550,7 @@ def test_build_gadget_minor_status_is_informative():
 
 
 def test_build_gadget_report_serializes():
-    build = build_gadget(8, 6, DESK, seed=11, block_mode="exhaustive")
+    build = build_gadget(8, 6, DESK, seed=11)
     d = build.attempts[-1].to_json_dict()
     assert {"seed", "n", "m", "p", "degree", "blocks"} <= set(d)
 
@@ -591,7 +561,7 @@ def test_build_gadget_exhaustive_reaches_larger_n(m, n):
     # singleton oracle (the double loop over X and Y took 1.8 s and 2.7 s
     # per build at these sizes)
     for seed in range(3):
-        build = build_gadget(m, n, DESK, seed=seed, block_mode="exhaustive")
+        build = build_gadget(m, n, DESK, seed=seed)
         for rep in build.attempts:
             g = sample_bipartite(n, DESK, rep.seed)
             assert rep.blocks.status == _singleton_oracle(g, DESK.epsilon, n), (seed, rep.seed)
@@ -810,7 +780,7 @@ def test_pigeonhole_count_matches_solver(solver_calls):
         assert proper
         for c in proper:
             assert verify_no_l_coloring_pigeonhole(asm, c) == (not _copy_colorable(asm, c))
-    h = build_gadget(8, 6, DESK, seed=11, block_mode="exhaustive").graph
+    h = build_gadget(8, 6, DESK, seed=11).graph
     rng = np.random.default_rng(3)
     colorings = [tuple(int(x) for x in rng.choice(13, 6, replace=False))
                  for _ in range(12)]
@@ -887,9 +857,9 @@ def test_sweep_shape_and_determinism():
     assert rows == again
 
 
-def _sweep_reference(ns, trials, *, epsilon, c_const, delta, seed, block_trials):
+def _sweep_reference(ns, trials, *, epsilon, c_const, delta, seed):
     """The per-trial path the sweep replaced: build the sampled graph, then
-    run the degree (and sampled block) checks on it."""
+    run the degree check on it."""
     if delta is None:
         delta = GadgetParams.derive(epsilon, c_const).delta
     params = GadgetParams(epsilon, c_const, 1, delta)
@@ -899,14 +869,8 @@ def _sweep_reference(ns, trials, *, epsilon, c_const, delta, seed, block_trials)
             s = construction._derived_seed(seed, n, trial)
             g = sample_bipartite(n, params, s)
             deg = check_degree_property(g, epsilon, n)
-            status, failures, bt = "skipped", 0, 0
-            if block_trials > 0:
-                blocks = check_block_property(
-                    g, 1, epsilon, n, mode="sampled", trials=block_trials,
-                    seed=construction._derived_seed(seed, n, trial, 1))
-                status, failures, bt = blocks.status, blocks.failures, blocks.trials
             rows.append(SweepRow(n, s, params.edge_probability(n), deg.max_degree,
-                                 deg.passed, status, failures, bt))
+                                 deg.passed))
     return rows
 
 
@@ -915,14 +879,11 @@ def _sweep_reference(ns, trials, *, epsilon, c_const, delta, seed, block_trials)
        epsilon=st.sampled_from([F(1, 3), F(1, 2), F(3, 4)]),
        c_const=st.sampled_from([F(1), F(3, 2), F(2)]),
        delta=st.sampled_from([None, F(1, 4), F(1, 2), F(2, 3)]),
-       seed=st.integers(0, 2**32),
-       block_trials=st.sampled_from([0, 5]))
-def test_sweep_matches_per_trial_graph_path(ns, trials, epsilon, c_const, delta,
-                                            seed, block_trials):
+       seed=st.integers(0, 2**32))
+def test_sweep_matches_per_trial_graph_path(ns, trials, epsilon, c_const, delta, seed):
     # C != 1 makes the A side longer than the B side, so reading degrees off
     # a transposed hit matrix would show here
-    kw = dict(epsilon=epsilon, c_const=c_const, delta=delta, seed=seed,
-              block_trials=block_trials)
+    kw = dict(epsilon=epsilon, c_const=c_const, delta=delta, seed=seed)
     assert degree_property_sweep(ns, trials, **kw) == _sweep_reference(ns, trials, **kw)
 
 
@@ -931,25 +892,12 @@ def test_sweep_rejects_counts_that_allow_no_attempt():
     for ns, trials in (([8], 0), ([8], -1), ([], 3)):
         with pytest.raises(ValueError):
             degree_property_sweep(ns, trials, **kw)
-    with pytest.raises(ValueError, match="block_trials"):
-        degree_property_sweep([8], 3, block_trials=-1, **kw)
-    # block_trials = 0 still means the block columns are skipped
-    assert degree_property_sweep([8], 1, block_trials=0, **kw)[0].block_status == "skipped"
 
 
 def test_sweep_rows_complete():
     rows = degree_property_sweep([8], 3, epsilon=F(1, 2), c_const=F(1),
                                  delta=F(1, 2), seed=5)
     for r in rows:
-        assert r.block_status == "skipped"
         assert r.p == pytest.approx(8 ** -0.5)
         assert isinstance(r.degree_pass, bool)
         assert r.max_degree >= 0
-
-
-def test_sweep_with_block_trials():
-    rows = degree_property_sweep([6], 2, epsilon=F(1, 2), c_const=F(1),
-                                 delta=F(1, 2), seed=5, block_trials=50)
-    for r in rows:
-        assert r.block_status in {"falsified", "unknown_sampled"}
-        assert r.trials == 50

@@ -997,7 +997,7 @@ def test_zero_slack_decides_k77_on_desk_gadgets(seed):
     # exact test answers.  Without the zero-slack rule these searches took
     # 24,617 (seed 11) and 28,857 (seed 12) nodes; with it, checking each
     # vertex on its own, 114 and 276.
-    g = build_gadget(8, 6, DESK, seed=seed, block_mode="exhaustive").graph
+    g = build_gadget(8, 6, DESK, seed=seed).graph
     res = find_kst_minor(g, MinorQuery(7, 7), budget=1_000)
     assert res.status is SearchStatus.NOT_FOUND
     assert res.nodes_expanded == 1
@@ -1005,7 +1005,7 @@ def test_zero_slack_decides_k77_on_desk_gadgets(seed):
 
 def test_zero_slack_finds_k67_on_a_desk_gadget():
     # Without the rule this search took 332,828 nodes.
-    g = build_gadget(8, 6, DESK, seed=11, block_mode="exhaustive").graph
+    g = build_gadget(8, 6, DESK, seed=11).graph
     q = MinorQuery(6, 7)
     res = find_kst_minor(g, q, budget=20_000)
     assert res.status is SearchStatus.FOUND

@@ -81,6 +81,19 @@ def test_public_names_are_pinned():
     assert "block_node_cap" not in inspect.signature(kstlab.build_gadget).parameters
 
 
+def test_sampled_block_check_is_retired():
+    # the block property has one exact check; nothing chooses a mode or
+    # draws trials for it any more
+    def params(fn):
+        return inspect.signature(fn).parameters
+
+    assert not {"mode", "trials", "seed"} & params(kstlab.check_block_property).keys()
+    assert not {"block_mode", "block_trials"} & params(kstlab.build_gadget).keys()
+    assert "block_trials" not in params(kstlab.degree_property_sweep)
+    fields = [f.name for f in dataclasses.fields(kstlab.SweepRow)]
+    assert fields == ["n", "seed", "p", "max_degree", "degree_pass"]
+
+
 def test_choosability_verdict_fields_keep_their_positions():
     # the work count is the last field and defaults to 0, so verdicts built
     # positionally with four fields still construct
