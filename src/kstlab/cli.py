@@ -20,6 +20,13 @@ B-coloring.  Every command runs single-threaded: --threads and
 the echoed configuration.  --out rewrites an existing file in place and
 trims it to the new report, so it keeps the same file, permissions and
 symlink target; as before, the write is neither atomic nor fsynced.
+
+``main`` hands the tokens after a known command name straight to that
+command's parser; anything else (no arguments, -h, an unknown command) goes
+through the top-level parser, which also reports the tokens a command's
+parser leaves over, so every usage and help text is what one argparse pass
+over the whole command line prints.  A JSON report is byte for byte
+``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import os
 import stat
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import construction as cx
@@ -63,15 +71,17 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
+# utf-8-sig drops a leading byte-order mark, which would otherwise hide a
+# JSON file's '{' from the format sniffing in graph.parse.
 def _load_graph(path: str) -> gr.Graph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return gr.parse(fh.read())
 
 
 def _load_lists(source: str) -> lc.ListAssignment:
     text = source
     if not source.lstrip().startswith("{"):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     return lc.ListAssignment.from_json_dict(json.loads(text))
 
@@ -108,6 +118,84 @@ def _write(args, body: str) -> None:
         sys.stdout.write(body)
 
 
+_INF = float("inf")
+
+
+def _scalar_json(o) -> str | None:
+    """The JSON text of a scalar, tested in the order ``json`` tests types;
+    None for anything else."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return float.__repr__(o)
+    return None
+
+
+def _json_into(o, nl: str, out: list[str]) -> None:
+    """Append the JSON text of ``o`` to ``out``; ``nl`` is a newline and the
+    indentation of the line ``o`` starts on."""
+    text = _scalar_json(o)
+    if text is not None:
+        out.append(text)
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        items = []
+        for x in o:
+            text = _scalar_json(x)
+            if text is None:
+                break
+            items.append(text)
+        else:
+            # all scalars, as in edges, colourings and branch sets: one join
+            out.append("[" + inner + ("," + inner).join(items) + nl + "]")
+            return
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            _json_into(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        # a key that is not a str fails the sort or the encoding with TypeError
+        for key in sorted(o):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_into(o[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _json_report(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, without the pure-Python
+    generator encoder that ``json`` falls back to whenever ``indent`` is set."""
+    out: list[str] = []
+    _json_into(doc, "\n", out)
+    return "".join(out)
+
+
 def _emit(args, payload: dict, text_lines: Callable[[], list[str]]) -> None:
     """Write the report; the human lines are built only when printed."""
     if args.format == "json":
@@ -117,7 +205,7 @@ def _emit(args, payload: dict, text_lines: Callable[[], list[str]]) -> None:
             "config": _config_echo(args),
             "result": payload,
         }
-        body = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        body = _json_report(doc) + "\n"
     else:
         body = "\n".join(text_lines()) + "\n"
     _write(args, body)
@@ -308,15 +396,25 @@ def _cmd_experiment(args) -> int:
 # --- parser --------------------------------------------------------------
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: ``parse_args`` returns a
     fresh namespace on every call."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's parser by command name."""
     top = argparse.ArgumentParser(
         prog="kstlab",
         description="Exact minor testing, choosability checking, and random "
                     "gadget constructions for list-chromatic lower bounds.")
     sub = top.add_subparsers(dest="command", required=True)
+    commands = {}
+
+    def command(name, **kwargs):
+        commands[name] = sub.add_parser(name, **kwargs)
+        return commands[name]
 
     def common(p, formats=("human", "json"), fmt_default="human"):
         p.add_argument("--out", help="write the report to this path")
@@ -328,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ignored: reports are always deterministic "
                             "(flag kept for command-line compatibility)")
 
-    p = sub.add_parser("check-minor", help="exact K_{s,t} minor search")
+    p = command("check-minor", help="exact K_{s,t} minor search")
     p.add_argument("graph", help="edge-list or JSON graph file")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
@@ -337,13 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_check_minor)
 
-    p = sub.add_parser("check-lcolor", help="solve one list assignment")
+    p = command("check-lcolor", help="solve one list assignment")
     p.add_argument("graph")
     p.add_argument("lists", help="JSON {\"lists\": [[...], ...]} file or inline")
     common(p)
     p.set_defaults(func=_cmd_check_lcolor)
 
-    p = sub.add_parser("check-choosable", help="exact k-choosability")
+    p = command("check-choosable", help="exact k-choosability")
     p.add_argument("graph")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cap-n", type=int, default=8,
@@ -352,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_check_choosable)
 
-    p = sub.add_parser("build-h", help="sample a two-clique gadget")
+    p = command("build-h", help="sample a two-clique gadget")
     p.add_argument("--n", type=int, required=True, help="B-side size")
     p.add_argument("--m", type=int, required=True, help="A-side size kept")
     p.add_argument("--eps", type=_fraction, required=True)
@@ -366,8 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_build_h)
 
-    p = sub.add_parser("build-counterexample",
-                       help="glue gadget copies and punch lists")
+    p = command("build-counterexample", help="glue gadget copies and punch lists")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--graph", help="labeled gadget file")
     source.add_argument("--fixture", choices=["tiny", "clique"],
@@ -376,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_build_counterexample)
 
-    p = sub.add_parser("bounds", help="probability bound exponents")
+    p = command("bounds", help="probability bound exponents")
     p.add_argument("--eps", type=_fraction, required=True)
     p.add_argument("--C", type=_fraction, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -384,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("experiment", help="seeded Monte Carlo degree sweep")
+    p = command("experiment", help="seeded Monte Carlo degree sweep")
     p.add_argument("--n", type=_int_list, required=True,
                    help="comma-separated B-side sizes")
     p.add_argument("--trials", type=int, required=True)
@@ -395,13 +492,30 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, formats=("human", "json", "csv"), fmt_default="csv")
     p.set_defaults(func=_cmd_experiment)
 
-    return top
+    return top, commands
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the same namespace, output
+    and exit; a known command's tokens go straight to its own parser, so the
+    top-level parser does not read them all only to pick the command."""
+    top, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return top.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        # the top-level parser reports what its command's parser left over
+        top.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap above the result codes
         return EXIT_USAGE if exc.code else 0

@@ -93,10 +93,16 @@ class Graph:
                 raise ValueError(f"adjacency row {v} mentions out-of-range vertices")
             if (row >> v) & 1:
                 raise ValueError(f"loop at vertex {v}")
+        # Inline bit loop: every graph the CLI loads is validated here.
+        adj = self.adj
         for v in range(self.n):
-            for u in bits(self.adj[v]):
-                if not (self.adj[u] >> v) & 1:
+            row = adj[v]
+            while row:
+                b = row & -row
+                u = b.bit_length() - 1
+                if not (adj[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                row ^= b
         if self.labels is not None:
             if len(self.labels) != self.n:
                 raise ValueError("labels length must equal vertex count")
@@ -418,6 +424,8 @@ def from_json_dict(data: dict) -> Graph:
     # bools, an int subclass, and are not vertex ids or counts.
     if type(n) is not int:
         raise GraphFormatError("vertex_count must be an integer")
+    if n < 0:
+        raise GraphFormatError("vertex_count must be non-negative")
     if not isinstance(edges, list):
         raise GraphFormatError("edges must be a list of vertex pairs")
     pairs = []

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kstlab import cycle, complete_bipartite, is_k_choosable, petersen, serialize, uniform_lists
-from kstlab.cli import build_parser, main
+from kstlab.cli import _json_report, build_parser, main
 from kstlab.graph import parse, path, to_edge_list, to_json_dict
 from kstlab.listcolor import ListAssignment, verify_coloring
 from kstlab.minors import BranchModel, MinorQuery, model_violation
@@ -172,6 +174,20 @@ def test_malformed_graph_json_is_a_usage_error(tmp_path, capsys, edges):
     assert "kstlab: error:" in capsys.readouterr().err
 
 
+def test_graph_and_list_files_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    bom = "\ufeff"
+    g = tmp_path / "c4.json"
+    g.write_text(bom + serialize(cycle(4), "json"), encoding="utf-8")
+    txt = tmp_path / "c4.txt"
+    txt.write_text(bom + to_edge_list(cycle(4)), encoding="utf-8")
+    lists = tmp_path / "lists.json"
+    lists.write_text(bom + uniform_lists(4, [0, 1]).to_json(), encoding="utf-8")
+    for graph in (g, txt):
+        assert main(["check-minor", str(graph), "--s", "2", "--t", "2"]) == 0
+        assert main(["check-lcolor", str(graph), str(lists)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("lists", ['{"lists": [[0, "a"], [1], [0]]}',
                                    '{"lists": [[[0]], [1], [0]]}',
                                    '{"lists": [[0, true], [1], [0]]}'])
@@ -228,6 +244,95 @@ def test_cached_parser_gives_each_call_its_own_namespace(paths, capsys):
     assert json.loads(capsys.readouterr().out)["config"]["budget"] == 1000
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["config"]["budget"] is None
+
+
+# --- front-end text --------------------------------------------------------------
+#
+# main parses a known command's tokens with that command's parser alone; these
+# are the texts argparse printed when the top-level parser read every token.
+
+TOP_USAGE = """\
+usage: kstlab [-h]
+              {check-minor,check-lcolor,check-choosable,build-h,build-counterexample,bounds,experiment}
+              ...
+"""
+
+CHECK_MINOR_USAGE = """\
+usage: kstlab check-minor [-h] --s S --t T [--budget BUDGET] [--out OUT]
+                          [--format {human,json}] [--threads THREADS]
+                          [--deterministic]
+                          graph
+"""
+
+MINOR_ARGS = ["check-minor", "g.txt", "--s", "2", "--t", "2"]
+
+
+@pytest.fixture()
+def columns(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+@pytest.mark.parametrize("argv, err", [
+    ([], TOP_USAGE + "kstlab: error: the following arguments are required: command\n"),
+    (["bogus"], TOP_USAGE + "kstlab: error: argument command: invalid choice: 'bogus' "
+     "(choose from 'check-minor', 'check-lcolor', 'check-choosable', 'build-h', "
+     "'build-counterexample', 'bounds', 'experiment')\n"),
+    (MINOR_ARGS + ["--bogus"], TOP_USAGE + "kstlab: error: unrecognized arguments: --bogus\n"),
+    (MINOR_ARGS + ["extra", "--bogus"],
+     TOP_USAGE + "kstlab: error: unrecognized arguments: extra --bogus\n"),
+    (MINOR_ARGS + ["--format", "csv"], CHECK_MINOR_USAGE + "kstlab check-minor: error: "
+     "argument --format: invalid choice: 'csv' (choose from 'human', 'json')\n"),
+    (["check-minor"], CHECK_MINOR_USAGE +
+     "kstlab check-minor: error: the following arguments are required: graph, --s, --t\n"),
+])
+def test_usage_error_text(columns, capsys, argv, err):
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", err)
+
+
+def test_help_text(columns, capsys):
+    assert main(["-h"]) == 0
+    assert capsys.readouterr() == (TOP_USAGE + """
+Exact minor testing, choosability checking, and random gadget constructions
+for list-chromatic lower bounds.
+
+positional arguments:
+  {check-minor,check-lcolor,check-choosable,build-h,build-counterexample,bounds,experiment}
+    check-minor         exact K_{s,t} minor search
+    check-lcolor        solve one list assignment
+    check-choosable     exact k-choosability
+    build-h             sample a two-clique gadget
+    build-counterexample
+                        glue gadget copies and punch lists
+    bounds              probability bound exponents
+    experiment          seeded Monte Carlo degree sweep
+
+options:
+  -h, --help            show this help message and exit
+""", "")
+    assert main(["check-minor", "-h"]) == 0
+    assert capsys.readouterr() == (CHECK_MINOR_USAGE + """
+positional arguments:
+  graph                 edge-list or JSON graph file
+
+options:
+  -h, --help            show this help message and exit
+  --s S
+  --t T
+  --budget BUDGET       node-expansion cap (default: unlimited)
+  --out OUT             write the report to this path
+  --format {human,json}
+  --threads THREADS     ignored: every command runs single-threaded (flag kept
+                        for command-line compatibility)
+  --deterministic       ignored: reports are always deterministic (flag kept
+                        for command-line compatibility)
+""", "")
+
+
+def test_abbreviated_option(paths, capsys):
+    assert main(["check-minor", str(paths / "c4.txt"), "--s", "2", "--t", "2",
+                 "--form", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["format"] == "json"
 
 
 # --- report shapes -----------------------------------------------------------
@@ -355,6 +460,69 @@ def test_readme_end_to_end_chain_matches_the_cli(tmp_path, monkeypatch, capsys):
     assert main(build_h[:build_h.index("--out")] + ["--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert to_json_dict(parse(Path("h.txt").read_text())) == doc["result"]["graph"]
+
+
+# --- JSON report encoding ------------------------------------------------------
+#
+# json.dumps(doc, sort_keys=True, indent=2) is the byte contract of every JSON
+# report; the tests keep it as the oracle of cli's own encoder.
+
+_leaves = st.one_of(
+    st.text(alphabet=st.sampled_from('a"\\/\n\t\x00\x1f\x7f\xe9 \U0001d11e')),
+    st.text(),
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e-7, 1e16, float("nan"), float("inf"), float("-inf")]),
+)
+_docs = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300)
+@given(_docs)
+def test_report_encoder_matches_json_dumps(doc):
+    assert _json_report(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("doc", [{"a": {1: "x"}}, {None: 1}, {"a": 1, 2: 3},
+                                 {"a": [1, {2, 3}]}, [Fraction(1, 2)]])
+def test_report_encoder_rejects_what_json_reports_never_hold(doc):
+    # json.dumps would print the keys 1 and None as strings; every report
+    # key is a string, so a non-str key is a fault
+    with pytest.raises(TypeError):
+        _json_report(doc)
+
+
+def test_every_json_report_is_json_dumps_indented(paths, capsys):
+    # one report per command, a refusal among them; the graph's file name
+    # puts a non-ASCII string in the echoed configuration
+    named = paths / "c4-é\U0001d11e.txt"
+    named.write_text(to_edge_list(cycle(4)))
+    runs = [
+        (["check-minor", str(named), "--s", "2", "--t", "2"], 0),
+        (["check-minor", str(paths / "c4.txt"), "--s", "3", "--t", "3"], 1),
+        (["check-lcolor", str(paths / "c4.txt"), str(paths / "lists2.json")], 0),
+        (["check-choosable", str(paths / "k33.json"), "--k", "2"], 1),
+        (["build-h", "--n", "6", "--m", "8", "--eps", "5/6", "--C", "4/3",
+          "--delta", "2/3", "--seed", "11"], 0),
+        (["build-counterexample", "--fixture", "tiny"], 0),
+        (["build-counterexample", "--fixture", "tiny", "--max-vertices", "5"], 2),
+        (["bounds", "--eps", "1/2", "--C", "1", "--n", "10"], 0),
+        (["experiment", "--n", "8,16", "--trials", "3", "--seed", "7"], 0),
+    ]
+    for i, (argv, code) in enumerate(runs):
+        out = paths / f"report{i}.json"
+        assert main(argv + ["--format", "json", "--out", str(out)]) == code, argv
+        body = out.read_bytes()
+        assert body == (json.dumps(json.loads(body), sort_keys=True, indent=2)
+                        + "\n").encode("ascii"), argv
+    assert capsys.readouterr() == ("", "")
 
 
 # --- determinism -------------------------------------------------------------

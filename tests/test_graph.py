@@ -75,10 +75,16 @@ def test_complete_bipartite_labels():
 
 
 def test_graph_validation_rejects_loops_and_asymmetry():
-    with pytest.raises(ValueError):
-        Graph(2, (0b01, 0b00), None)  # loop at 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^loop at vertex 0$"):
+        Graph(2, (0b01, 0b00), None)
+    with pytest.raises(ValueError, match="^adjacency row 1 mentions out-of-range vertices$"):
+        Graph(2, (0b10, 0b101), None)
+    with pytest.raises(ValueError, match="^asymmetric adjacency between 1 and 0$"):
         Graph(2, (0b10, 0b00), None)  # 0->1 without 1->0
+    # rows are walked in order, each from its lowest bit: of the one-way
+    # pairs 0-1, 0-2 and 3-0, the message names 0-1
+    with pytest.raises(ValueError, match="^asymmetric adjacency between 1 and 0$"):
+        Graph(4, (0b0110, 0b0000, 0b0000, 0b0001), None)
     with pytest.raises(ValueError):
         Graph(2, (0, 0), ("A",))  # label arity mismatch
     with pytest.raises(ValueError):
@@ -312,6 +318,8 @@ def test_edge_list_label_line():
 def test_json_rejects_bool_counts_and_non_list_labels():
     with pytest.raises(GraphFormatError, match="vertex_count"):
         from_json_dict({"vertex_count": True, "edges": []})
+    with pytest.raises(GraphFormatError, match="^vertex_count must be non-negative$"):
+        from_json_dict({"vertex_count": -1, "edges": []})
     with pytest.raises(GraphFormatError, match="labels"):
         from_json_dict({"vertex_count": 2, "edges": [], "labels": 5})
 
