@@ -40,6 +40,7 @@ import os
 import stat
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
@@ -145,6 +146,19 @@ def _scalar_json(o) -> str | None:
     return None
 
 
+def _int_pairs(o) -> tuple | None:
+    """``o``'s pairs flattened into one tuple when ``o`` holds only lists of
+    exactly two ints, else None.  ``type(x) is int`` leaves bools and other
+    int subclasses to the general path.  The first item turns away most
+    lists that are not pairs, and the rest is tested in C loops."""
+    first = o[0]
+    if type(first) is not list or len(first) != 2 \
+            or set(map(type, o)) != {list} or set(map(len, o)) != {2}:
+        return None
+    flat = tuple(chain.from_iterable(o))
+    return flat if set(map(type, flat)) == {int} else None
+
+
 def _json_into(o, nl: str, out: list[str]) -> None:
     """Append the JSON text of ``o`` to ``out``; ``nl`` is a newline and the
     indentation of the line ``o`` starts on."""
@@ -163,8 +177,16 @@ def _json_into(o, nl: str, out: list[str]) -> None:
                 break
             items.append(text)
         else:
-            # all scalars, as in edges, colourings and branch sets: one join
+            # all scalars, as in colourings, lists and branch sets: one join
             out.append("[" + inner + ("," + inner).join(items) + nl + "]")
+            return
+        flat = _int_pairs(o)
+        if flat is not None:
+            # a graph's edges: one template per pair, filled by one format
+            deeper = inner + "  "
+            pair = "[" + deeper + "%d," + deeper + "%d" + inner + "]"
+            out.append("[" + inner + ("," + inner).join([pair] * len(o)) % flat
+                       + nl + "]")
             return
         sep = "[" + inner
         for x in o:

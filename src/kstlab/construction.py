@@ -33,7 +33,6 @@ from .graph import (
     LABEL_B,
     Graph,
     bits,
-    complement,
     complete,
     induced_subgraph,
     is_clique,
@@ -124,28 +123,49 @@ def _derived_seed(*parts: int) -> int:
     return int(state[0]) << 32 | int(state[1])
 
 
-def _sample_hits(n: int, params: GadgetParams, seed: int) -> np.ndarray:
-    """The boolean (floor(C*n), n) hit matrix of one draw: entry (a, b) says
-    whether A-vertex a and B-vertex b are joined, independently with
-    probability n**(-delta).  Deterministic in (n, params, seed)."""
+def _side_a(n: int, params: GadgetParams) -> int:
+    """floor(C*n), the A-side size of a draw with n B-vertices."""
     if n < 1:
         raise ValueError("n must be positive")
     ma = _floor(params.c_const * n)
     if ma < 1:
         raise ValueError("floor(C*n) must be positive")
-    rng = np.random.default_rng(seed)
-    return rng.random((ma, n)) < params.edge_probability(n)
+    return ma
+
+
+def _draw(ma: int, n: int, p: float, seed: int) -> np.ndarray:
+    """The (ma, n) hit matrix of one draw at edge probability p."""
+    return np.random.default_rng(seed).random((ma, n)) < p
+
+
+def _sample_hits(n: int, params: GadgetParams, seed: int) -> np.ndarray:
+    """The boolean (floor(C*n), n) hit matrix of one draw: entry (a, b) says
+    whether A-vertex a and B-vertex b are joined, independently with
+    probability n**(-delta).  Deterministic in (n, params, seed)."""
+    return _draw(_side_a(n, params), n, params.edge_probability(n), seed)
+
+
+def _packed_rows(hits: np.ndarray) -> list[int]:
+    """Row i of the boolean matrix as an int bitset: bit j is entry (i, j)."""
+    packed = np.packbits(hits, axis=1, bitorder="little")
+    buf, w = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(buf[i:i + w], "little") for i in range(0, len(buf), w)]
+
+
+def _draw_graph(hits: np.ndarray) -> Graph:
+    """The bipartite graph of a hit matrix: A-vertex a is vertex a, B-vertex
+    b is vertex ma + b, and the rows come from the packed hit rows and
+    columns."""
+    ma, n = hits.shape
+    adj = [row << ma for row in _packed_rows(hits)] + _packed_rows(hits.T)
+    return Graph(ma + n, tuple(adj), (LABEL_A,) * ma + (LABEL_B,) * n)
 
 
 def sample_bipartite(n: int, params: GadgetParams, seed: int) -> Graph:
     """Random bipartite graph: floor(C*n) A-vertices, n B-vertices, each
     cross pair an edge independently with probability n**(-delta).
     The A vertices come first, then B.  Deterministic in (n, params, seed)."""
-    hits = _sample_hits(n, params, seed)
-    ma = hits.shape[0]
-    edges = [(int(a), ma + int(b)) for a, b in np.argwhere(hits)]
-    labels = (LABEL_A,) * ma + (LABEL_B,) * n
-    return Graph.from_edges(ma + n, edges, labels)
+    return _draw_graph(_sample_hits(n, params, seed))
 
 
 @dataclass(frozen=True)
@@ -443,17 +463,16 @@ def build_gadget(
         raise ValueError("require 1 <= n <= m <= floor(C*n)")
     if max_retries < 1:
         raise ValueError(f"build_gadget needs max_retries >= 1, got {max_retries}")
+    p = params.edge_probability(n)
     attempts = []
     for r in range(max_retries):
         s = _derived_seed(seed, r)
         gp = sample_bipartite(n, params, s)
         deg = check_degree_property(gp, params.epsilon, n)
         blocks = check_block_property(gp, params.max_block_size, params.epsilon, n)
-        attempts.append(SampleReport(s, n, ma, params.edge_probability(n), deg, blocks))
+        attempts.append(SampleReport(s, n, ma, p, deg, blocks))
         if deg.passed and blocks.status == "verified":
-            a_keep = list(range(m)) + list(range(ma, ma + n))
-            sub, _ = induced_subgraph(gp, a_keep)
-            h = complement(sub)
+            h = _gadget(gp, m, ma)
             limit = _ceil(params.epsilon * n)
             for v in range(h.n):
                 if non_neighbor_count(h, v) > limit:
@@ -461,6 +480,18 @@ def build_gadget(
                         f"gadget vertex {v} has more than {limit} non-neighbors")
             return GadgetBuild(h, tuple(attempts))
     return GadgetBuild(None, tuple(attempts))
+
+
+def _gadget(gp: Graph, m: int, ma: int) -> Graph:
+    """complement(induced_subgraph(gp, first m A-vertices + all B)), written
+    straight from the draw's rows: A-vertex a keeps id a and B-vertex b
+    becomes m + b; both sides are cliques, and a cross pair is an edge iff
+    the draw did not hit it."""
+    n = gp.n - ma
+    a_all, b_all = (1 << m) - 1, (1 << n) - 1
+    adj = [(a_all ^ 1 << a) | (b_all ^ gp.adj[a] >> ma) << m for a in range(m)]
+    adj += [(a_all ^ gp.adj[ma + b] & a_all) | (b_all ^ 1 << b) << m for b in range(n)]
+    return Graph(m + n, tuple(adj), (LABEL_A,) * m + (LABEL_B,) * n)
 
 
 def tiny_gadget() -> Graph:
@@ -569,48 +600,46 @@ def build_counterexample(
         raise AssemblyCapError(
             f"assembly needs {total} vertices ({count} copies), cap is {max_vertices}")
 
-    b_pos = {b: i for i, b in enumerate(base_b)}
+    # Per base A vertex: its B row, its A row over A positions (shifted to
+    # each copy's start), and the B positions it misses, whose colors its
+    # list loses; per B vertex: its row back into one copy's A positions.
+    b_pos = {b: j for j, b in enumerate(base_b)}
     a_pos = {a: i for i, a in enumerate(base_a)}
-    adj = [0] * total
-    # B-side internal edges follow the gadget.
-    for i, b in enumerate(base_b):
-        for u in bits(h.adj[b]):
+    templates = []
+    for a in base_a:
+        cross = inside = 0
+        for u in bits(h.adj[a]):
             j = b_pos.get(u)
             if j is not None:
-                adj[i] |= 1 << j
+                cross |= 1 << j
+            else:
+                inside |= 1 << a_pos[u]
+        missing = tuple(j for j in range(n) if not cross >> j & 1)
+        templates.append((cross, inside, missing))
+    back = [mask_of(i for i, (cross, _, _) in enumerate(templates) if cross >> j & 1)
+            for j in range(n)]
+    # B-side internal edges follow the gadget.
+    adj = [mask_of(b_pos[u] for u in bits(h.adj[b]) if u in b_pos) for b in base_b]
 
-    lists: list[frozenset[int]] = [frozenset(range(palette_size))] * n
     full_list = frozenset(range(palette_size))
+    lists: list[frozenset[int]] = [full_list] * n
     colorings_seq = (product(range(palette_size), repeat=n)
                      if requested is None else requested)
     ranges = []
     kept_colorings = []
     at = n
     for c in colorings_seq:
-        c = tuple(c)
         kept_colorings.append(c)
         start = at
-        for ai, a in enumerate(base_a):
-            va = start + ai
-            row = 0
-            punched = set()
-            for u in bits(h.adj[a]):
-                j = b_pos.get(u)
-                if j is not None:
-                    row |= 1 << j          # cross edge into shared B
-                else:
-                    row |= 1 << (start + a_pos[u])  # A-side edge inside copy
-            for j in range(n):
-                if not (row >> j) & 1:
-                    punched.add(c[j])      # non-neighbor's color is lost
-            adj[va] = row
-            for u in bits(row):
-                adj[u] |= 1 << va
-            lst = full_list - punched
-            if len(lst) < palette_size - (n - (row & ((1 << n) - 1)).bit_count()):
-                raise RuntimeError(f"list of glued vertex {va} punched too far")
+        for j in range(n):
+            adj[j] |= back[j] << start
+        for cross, inside, missing in templates:
+            adj.append(cross | inside << start)
+            lst = full_list.difference([c[j] for j in missing]) if missing else full_list
+            if len(lst) < palette_size - len(missing):
+                raise RuntimeError(f"list of glued vertex {at} punched too far")
             lists.append(lst)
-        at += m
+            at += 1
         ranges.append((start, at))
 
     labels = (LABEL_B,) * n + (LABEL_A,) * (total - n)
@@ -739,10 +768,13 @@ def degree_property_sweep(
 
     rows = []
     for n in ns:
+        ma = _side_a(n, params)
+        p = params.edge_probability(n)
+        # an integer degree d has d <= epsilon * n iff d <= floor(epsilon * n)
+        bound = _floor(epsilon * n)
         for trial in range(trials):
             s = _derived_seed(seed, n, trial)
-            hits = _sample_hits(n, params, s)
+            hits = _draw(ma, n, p, s)
             max_degree = int(max(hits.sum(axis=0).max(), hits.sum(axis=1).max()))
-            rows.append(SweepRow(n, s, params.edge_probability(n), max_degree,
-                                 max_degree <= epsilon * n))
+            rows.append(SweepRow(n, s, p, max_degree, max_degree <= bound))
     return rows

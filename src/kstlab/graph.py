@@ -140,10 +140,13 @@ class Graph:
         return tuple(bits(self.adj[v]))
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1)
-            for off in bits(row):
-                yield (u, u + 1 + off)
+        # Inline bit loop: every graph a report prints is walked here.
+        for u, row in enumerate(self.adj):
+            row >>= u + 1
+            while row:
+                b = row & -row
+                yield (u, u + b.bit_length())
+                row ^= b
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2

@@ -490,6 +490,15 @@ def test_report_encoder_matches_json_dumps(doc):
     assert _json_report(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
+@pytest.mark.parametrize("pairs", [[[True, 1]], [[1, 2], (3, 4)], [[], [1]], [[1, 2, 3]],
+                                   [[10**30, -1]], [[1.0, 2]], [[0, 1], [1, 2]],
+                                   [[1, 2], [3]], [[1, 2], [3, 4, 5]], [[1, 2], [3, False]]])
+def test_report_encoder_edge_lists(pairs):
+    # graph edges take the two-int-pair path; near misses take the general one
+    for doc in (pairs, {"graph": {"edges": pairs}}):
+        assert _json_report(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
 @pytest.mark.parametrize("doc", [{"a": {1: "x"}}, {None: 1}, {"a": 1, 2: 3},
                                  {"a": [1, {2, 3}]}, [Fraction(1, 2)]])
 def test_report_encoder_rejects_what_json_reports_never_hold(doc):

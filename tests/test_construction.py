@@ -12,6 +12,11 @@ Oracle notes per section:
   ``_block_reference``) on small random graphs, and by the X enumeration
   without its cut (kept here as ``_block_unpruned``), status and witness,
   on seeded desk draws and random graphs;
+* the draw, the gadget build and the assembly are compared with the paths
+  they replaced, kept here as ``_sample_reference`` (an edge list through
+  ``Graph.from_edges``), ``_build_gadget_reference`` (complement of the
+  induced subgraph) and ``_assembly_reference`` (every base row re-walked
+  per copy), on random inputs and on fixed cases;
 * the pigeonhole verifier is exercised on every proper coloring of the
   fixtures' B-cliques and on copies of a sampled gadget, each compared with
   the exhaustive list-coloring solver on B plus the copy, and the assembled
@@ -54,6 +59,7 @@ from kstlab.construction import (
 from kstlab.graph import (
     Graph,
     GlueSpec,
+    complement,
     complete_bipartite,
     empty,
     glue,
@@ -567,6 +573,76 @@ def test_build_gadget_exhaustive_reaches_larger_n(m, n):
             assert rep.blocks.status == _singleton_oracle(g, DESK.epsilon, n), (seed, rep.seed)
 
 
+def _sample_reference(n, params, seed):
+    """The edge-list path sample_bipartite replaced: one Graph.from_edges
+    over the hit matrix's nonzero entries."""
+    hits = construction._sample_hits(n, params, seed)
+    ma = hits.shape[0]
+    edges = [(int(a), ma + int(b)) for a, b in np.argwhere(hits)]
+    return Graph.from_edges(ma + n, edges, ("A",) * ma + ("B",) * n)
+
+
+def _build_gadget_reference(m, n, params, seed, *, max_retries):
+    """The loop build_gadget replaced: sample each draw through its edge
+    list, and build an accepted gadget as the complement of the induced
+    subgraph on the first m A-vertices and all B-vertices."""
+    ma = math.floor(params.c_const * n)
+    attempts = []
+    for r in range(max_retries):
+        s = construction._derived_seed(seed, r)
+        gp = _sample_reference(n, params, s)
+        deg = check_degree_property(gp, params.epsilon, n)
+        blocks = check_block_property(gp, params.max_block_size, params.epsilon, n)
+        attempts.append(construction.SampleReport(
+            s, n, ma, params.edge_probability(n), deg, blocks))
+        if deg.passed and blocks.status == "verified":
+            sub, _ = induced_subgraph(gp, list(range(m)) + list(range(ma, ma + n)))
+            h = complement(sub)
+            limit = math.ceil(params.epsilon * n)
+            assert all(non_neighbor_count(h, v) <= limit for v in range(h.n))
+            return construction.GadgetBuild(h, tuple(attempts))
+    return construction.GadgetBuild(None, tuple(attempts))
+
+
+# DESK accepts most builds and falsifies a few attempts; the second gives up
+# on every draw; the last two have f = 2, and only the last of them builds
+_BUILD_PARAMS = [DESK, GadgetParams(F(5, 26), F(3, 2), 1, F(1, 2)),
+                 GadgetParams(F(1, 2), F(1), 2, F(1, 5)),
+                 GadgetParams(F(3, 4), F(1), 2, F(6, 25))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=st.sampled_from(_BUILD_PARAMS), n=st.integers(1, 8),
+       extra=st.integers(0, 4), retries=st.integers(1, 4),
+       seed=st.integers(0, 2**32))
+def test_build_gadget_matches_reference(params, n, extra, retries, seed):
+    # C >= 1, so n <= m <= floor(C * n)
+    m = min(n + extra, math.floor(params.c_const * n))
+    assert build_gadget(m, n, params, seed, max_retries=retries) \
+        == _build_gadget_reference(m, n, params, seed, max_retries=retries)
+
+
+@pytest.mark.parametrize("m, n, params, seed, retries, outcomes", [
+    (8, 6, DESK, 11, 32, [(True, "verified")]),
+    # a falsified attempt that passed the degree check, before the accepted one
+    (8, 6, DESK, 156, 32, [(False, "verified"), (True, "falsified"), (True, "verified")]),
+    (8, 6, _BUILD_PARAMS[1], 1, 3, [(False, "falsified")] * 3),
+    (8, 8, _BUILD_PARAMS[3], 1, 4, [(False, "verified"), (True, "verified")]),
+])
+def test_build_gadget_reference_cases(m, n, params, seed, retries, outcomes):
+    build = build_gadget(m, n, params, seed, max_retries=retries)
+    assert [(rep.degree.passed, rep.blocks.status) for rep in build.attempts] == outcomes
+    assert build.ok == (outcomes[-1] == (True, "verified"))
+    assert build == _build_gadget_reference(m, n, params, seed, max_retries=retries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=st.sampled_from(_BUILD_PARAMS), n=st.integers(1, 10),
+       seed=st.integers(0, 2**32))
+def test_sample_bipartite_matches_edge_list_path(params, n, seed):
+    assert sample_bipartite(n, params, seed) == _sample_reference(n, params, seed)
+
+
 # --- fixtures -------------------------------------------------------------------
 
 
@@ -679,6 +755,82 @@ def test_assembly_rejects_unlabeled_graph():
     from kstlab.graph import complete
     with pytest.raises(ValueError):
         build_counterexample(complete(4), 3, "all")
+
+
+def _assembly_reference(h, palette_size, colorings):
+    """The loop build_counterexample replaced: each copy re-walks every base
+    A vertex's row of ``h``, bit by bit."""
+    base_a, base_b = h.part("A"), h.part("B")
+    m, n = len(base_a), len(base_b)
+    seq = (list(itertools.product(range(palette_size), repeat=n))
+           if colorings == "all" else [tuple(c) for c in colorings])
+    total = n + len(seq) * m
+    b_pos = {b: i for i, b in enumerate(base_b)}
+    a_pos = {a: i for i, a in enumerate(base_a)}
+    adj = [0] * total
+    for i, b in enumerate(base_b):
+        for u in construction.bits(h.adj[b]):
+            if u in b_pos:
+                adj[i] |= 1 << b_pos[u]
+    lists = [frozenset(range(palette_size))] * n
+    ranges, at = [], n
+    for c in seq:
+        start = at
+        for ai, a in enumerate(base_a):
+            va = start + ai
+            row = 0
+            for u in construction.bits(h.adj[a]):
+                j = b_pos.get(u)
+                row |= 1 << j if j is not None else 1 << (start + a_pos[u])
+            adj[va] = row
+            for u in construction.bits(row):
+                adj[u] |= 1 << va
+            lists.append(frozenset(range(palette_size))
+                         - {c[j] for j in range(n) if not row >> j & 1})
+        at += m
+        ranges.append((start, at))
+    return construction.CounterexampleAssembly(
+        graph=Graph(total, tuple(adj), ("B",) * n + ("A",) * (total - n)),
+        lists=ListAssignment(tuple(lists)), base=h, palette_size=palette_size,
+        base_a=base_a, base_b=base_b, colorings=tuple(seq), a_ranges=tuple(ranges))
+
+
+@st.composite
+def _labeled_gadgets(draw):
+    """Labeled graphs on at most 6 vertices, both sides non-empty and
+    interleaved in id order; neither side need be a clique."""
+    n_vertices = draw(st.integers(2, 6))
+    labels = draw(st.lists(st.sampled_from("AB"), min_size=n_vertices,
+                           max_size=n_vertices).filter(lambda ls: len(set(ls)) == 2))
+    pairs = list(itertools.combinations(range(n_vertices), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    return Graph.from_edges(n_vertices, edges, labels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=_labeled_gadgets(), data=st.data())
+def test_assembly_matches_reference(h, data):
+    m, n = len(h.part("A")), len(h.part("B"))
+    palette = m + n - 1
+    if data.draw(st.booleans(), label="all") and palette ** n <= 256:
+        colorings = "all"
+    else:
+        # a small pool, so explicit lists repeat colorings
+        pool = data.draw(st.lists(st.tuples(*[st.integers(0, palette - 1)] * n),
+                                  min_size=1, max_size=3), label="pool")
+        colorings = data.draw(st.lists(st.sampled_from(pool), max_size=6),
+                              label="colorings")
+    assert build_counterexample(h, palette, colorings) \
+        == _assembly_reference(h, palette, colorings)
+
+
+def test_assembly_matches_reference_on_desk_gadget():
+    # a sampled gadget with a repeated coloring, and the clique gadget's "all"
+    h = build_gadget(8, 6, DESK, seed=11).graph
+    colorings = [(0, 1, 2, 3, 4, 5), (12, 0, 7, 7, 1, 3), (0, 1, 2, 3, 4, 5)]
+    assert build_counterexample(h, 13, colorings) == _assembly_reference(h, 13, colorings)
+    assert build_counterexample(clique_gadget(3, 3), 5, "all") \
+        == _assembly_reference(clique_gadget(3, 3), 5, "all")
 
 
 # --- the non-colorability mechanism ---------------------------------------------
