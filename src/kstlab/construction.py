@@ -62,6 +62,11 @@ def _floor(x: Fraction) -> int:
 
 # enumeration nodes the exhaustive block-property check may visit
 _BLOCK_NODE_CAP = 2_000_000
+# trials seeded at once by the degree sweep (a power of two, so no block
+# straddles trial 2**32), and the bytes of its reused block of hit matrices
+# (which holds at least one draw)
+_SEED_BLOCK = 1024
+_DRAW_BYTES = 1 << 16
 
 
 class EnumerationCapError(ValueError):
@@ -121,6 +126,115 @@ class GadgetParams:
 def _derived_seed(*parts: int) -> int:
     state = np.random.SeedSequence(list(parts)).generate_state(2)
     return int(state[0]) << 32 | int(state[1])
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
+# numpy's SeedSequence hash constants, and PCG64's 128-bit LCG multiplier
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _words(x: int) -> list[int]:
+    """The 32-bit words of a non-negative int, lowest first; 0 is [0]."""
+    out = [x & _MASK32]
+    while x := x >> 32:
+        out.append(x & _MASK32)
+    return out
+
+
+def _hash_consts(count: int, init: int, mult: int) -> np.ndarray:
+    """init * mult**i mod 2**32 for i = 0..count, as a uint32 column."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, np.uint32)[:, None]
+
+
+def _hashmix(v: np.ndarray, consts: np.ndarray, k: int, calls: int) -> np.ndarray:
+    """SeedSequence's hash calls k..k+calls-1, call k + i on row i of v (or
+    on v itself, broadcast): call j xors in constant j and multiplies by
+    constant j + 1."""
+    v = (v ^ consts[k:k + calls]) * consts[k + 1:k + 1 + calls]
+    return v ^ v >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ r >> 16
+
+
+def _seed_state(entropy: np.ndarray, words: int) -> np.ndarray:
+    """``SeedSequence(e).generate_state(words)`` for every column e of the
+    (L, B) uint32 array ``entropy`` (each column is one entropy list, its
+    32-bit words as numpy splits the ints), as a (words, B) uint32 array."""
+    size = len(entropy)
+    if size < 4:
+        # a pool slot past the entropy hashes a zero word
+        entropy = np.vstack([entropy, np.zeros((4 - size, entropy.shape[1]), np.uint32)])
+    consts = _hash_consts(16 + 4 * max(0, size - 4), _INIT_A, _MULT_A)
+    pool = _hashmix(entropy[:4], consts, 0, 4)
+    for src in range(4):
+        # the three updates of one source slot read it unchanged
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, 4 + 3 * src, 3))
+    for src in range(4, size):
+        pool = _mix(pool, _hashmix(entropy[src], consts, 4 * src, 4))
+    return _hashmix(pool[[i % 4 for i in range(words)]],
+                    _hash_consts(words, _INIT_B, _MULT_B), 0, words)
+
+
+def _seed_block(seed: int, n: int, lo: int, hi: int) -> tuple[list[int], list[dict]]:
+    """The derived seeds and PCG64 states of trials lo..hi-1 at size n.
+
+    For trial t it returns ``_derived_seed(seed, n, t)`` and the value of
+    ``np.random.default_rng(_derived_seed(seed, n, t)).bit_generator
+    .state["state"]``, computed for the whole block at once:
+
+    * ``SeedSequence([seed, n, t])`` hashes the 32-bit words of seed, n and
+      t (lowest first, 0 as one word) into a pool of four words, then
+      ``generate_state`` hashes the pool out.  ``_seed_state`` runs that
+      mixing as uint32 array arithmetic over the block, one column per
+      trial.  Its first two words, high word first, are the derived seed.
+    * ``default_rng(s)`` seeds PCG64 from ``SeedSequence(s)``: s is the
+      words (low, high), or (low,) when high is 0, which hashes the same
+      because a missing pool word hashes as a zero one.  Its
+      ``generate_state(4, uint64)`` is eight uint32 words read as four
+      little-endian uint64 s0..s3, and PCG64's srandom takes initstate =
+      s0·2⁶⁴ + s1 and inc = 2(s2·2⁶⁴ + s3) + 1 and steps the 128-bit LCG
+      (multiplier 0x2360ED051FC65DA44385DF649FCCF645) twice, adding
+      initstate between the steps: state = ((inc + initstate)·mult + inc)
+      mod 2¹²⁸.
+
+    All t in lo..hi-1 must have the same number of words (hi ≤ 2³² or
+    lo ≥ 2³²).  Tests hold this equal to numpy, and the sweep re-draws the
+    first trial of each size through numpy to catch a change in numpy's
+    seeding.
+    """
+    if lo < 1 << 32 < hi:
+        raise ValueError("a seed block must not straddle trial 2**32")
+    t = np.arange(lo, hi, dtype=np.uint64)
+    trial = [t] if hi <= 1 << 32 else [t & np.uint64(_MASK32), t >> np.uint64(32)]
+    prefix = np.array(_words(seed) + _words(n), np.uint32)[:, None]
+    entropy = np.vstack([np.broadcast_to(prefix, (len(prefix), hi - lo))]
+                        + [w.astype(np.uint32)[None] for w in trial])
+    high, low = _seed_state(entropy, 2)
+    seeds = (high.astype(np.uint64) << np.uint64(32) | low).tolist()
+    state = _seed_state(np.vstack([low, high]), 8).astype(np.uint64)
+    words64 = (state[0::2] | state[1::2] << np.uint64(32)).tolist()
+    states = []
+    for s0, s1, s2, s3 in zip(*words64):
+        inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
+        states.append({"state": ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128,
+                       "inc": inc})
+    return seeds, states
 
 
 def _side_a(n: int, params: GadgetParams) -> int:
@@ -463,6 +577,7 @@ def build_gadget(
         raise ValueError("require 1 <= n <= m <= floor(C*n)")
     if max_retries < 1:
         raise ValueError(f"build_gadget needs max_retries >= 1, got {max_retries}")
+    _check_seed(seed)
     p = params.edge_probability(n)
     attempts = []
     for r in range(max_retries):
@@ -749,15 +864,26 @@ def degree_property_sweep(
     """Seeded Monte Carlo sweep of the degree property across sizes.
 
     One row per (n, trial), computed one after another in a single thread.
-    Per-trial seeds derive from (seed, n, trial), so the report depends on
-    the arguments alone.  The maximum degree is read off the row and column
-    sums of the draw's hit matrix.  ``delta`` defaults to the canonical
+    Trial t at size n draws its hit matrix from
+    ``np.random.default_rng(_derived_seed(seed, n, t))``, so the report
+    depends on the arguments alone.  ``delta`` defaults to the canonical
     derived value; pass an explicit Fraction to rescale the sweep.
+
+    The rows are those of that per-trial path, computed a block at a time:
+    ``_seed_block`` gives the seeds and PCG64 states of up to
+    ``_SEED_BLOCK`` trials at once, one reused generator draws each trial
+    from its state into a reused bool block of about ``_DRAW_BYTES``, and
+    the maximum degrees of a whole block come from its row and column sums.
+    The first trial of every size is drawn again through ``default_rng``;
+    a different seed or hit matrix raises ``RuntimeError``, so a numpy
+    whose seeding no longer matches ``_seed_block`` fails instead of
+    writing wrong rows.
     """
     if trials < 1:
         raise ValueError(f"the sweep needs trials >= 1, got {trials}")
     if not ns:
         raise ValueError("the sweep needs at least one size n")
+    _check_seed(seed)
     epsilon = _frac(epsilon)
     c_const = _frac(c_const)
     if delta is None:
@@ -766,15 +892,34 @@ def degree_property_sweep(
         delta = _frac(delta)
     params = GadgetParams(epsilon, c_const, 1, delta)
 
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "PCG64", "state": None, "has_uint32": 0, "uinteger": 0}
     rows = []
     for n in ns:
         ma = _side_a(n, params)
         p = params.edge_probability(n)
         # an integer degree d has d <= epsilon * n iff d <= floor(epsilon * n)
         bound = _floor(epsilon * n)
-        for trial in range(trials):
-            s = _derived_seed(seed, n, trial)
-            hits = _draw(ma, n, p, s)
-            max_degree = int(max(hits.sum(axis=0).max(), hits.sum(axis=1).max()))
-            rows.append(SweepRow(n, s, p, max_degree, max_degree <= bound))
+        buf = np.empty((min(trials, max(1, _DRAW_BYTES // (ma * n))), ma, n), bool)
+        noise = np.empty((ma, n))
+        # degrees are at most max(ma, n), so the sums fit this dtype
+        count = np.min_scalar_type(max(ma, n))
+        for lo in range(0, trials, _SEED_BLOCK):
+            seeds, states = _seed_block(seed, n, lo, min(trials, lo + _SEED_BLOCK))
+            for at in range(0, len(seeds), len(buf)):
+                block = buf[:len(seeds) - at]
+                for hits, st in zip(block, states[at:at + len(block)]):
+                    state["state"] = st
+                    bitgen.state = state
+                    np.less(gen.random(out=noise), p, out=hits)
+                if lo == at == 0:
+                    ref = _derived_seed(seed, n, 0)
+                    if seeds[0] != ref or not np.array_equal(block[0], _draw(ma, n, p, ref)):
+                        raise RuntimeError(
+                            f"batch seeding disagrees with numpy at n={n}, trial 0")
+                degrees = np.maximum(block.sum(axis=1, dtype=count).max(axis=1),
+                                     block.sum(axis=2, dtype=count).max(axis=1))
+                rows.extend(SweepRow(n, s, p, d, d <= bound)
+                            for s, d in zip(seeds[at:at + len(block)], degrees.tolist()))
     return rows

@@ -6,6 +6,7 @@ checks write reports through ``--out`` and compare file contents.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shlex
 from fractions import Fraction
@@ -142,6 +143,13 @@ def test_usage_errors_exit_above_two(paths, capsys):
     assert main(build_h + ["--mode", "exhaustive", "--max-retries", "0"]) == 3
     assert main(build_h + ["--mode", "sampled"]) == 3
     assert main(build_h + ["--trials", "2000"]) == 3
+    # a negative seed is named, and never reaches the seeding arithmetic
+    assert "refused" not in capsys.readouterr().out
+    for argv in (sweep + ["--n", "4", "--trials", "5"], build_h):
+        assert main(argv + ["--seed", "-1"]) == 3
+        out, err = capsys.readouterr()
+        assert err == "kstlab: error: seed must be non-negative, got -1\n"
+        assert out == ""
     c4 = str(paths / "c4.txt")
     for budget in ("0", "-3"):
         assert main(["check-minor", c4, "--s", "2", "--t", "2", "--budget", budget]) == 3
@@ -552,6 +560,21 @@ def test_reports_byte_identical_across_runs_and_threads(tmp_path):
     c3, b3 = _run_to_file(base, tmp_path / "c.csv")
     assert c1 == c2 == c3 == 0
     assert b1 == b2 == b3
+
+
+# sha256 of two experiment reports, pinned when every draw was seeded one at
+# a time through np.random.default_rng: batch seeding must keep every byte
+@pytest.mark.parametrize("argv, digest", [
+    (["--n", "32,64,128", "--trials", "200", "--seed", "3", "--delta", "1/2"],
+     "81f3db04116b1676213057f833721c02c361a692e0fa47af37fb7919a6bf264a"),
+    (["--n", "7,33,100", "--trials", "50", "--seed", "18446744073709551621",
+      "--eps", "5/6", "--C", "4/3", "--delta", "2/3", "--format", "json"],
+     "d553b3eca3228c8f5e92f40235c97de908ba8531770798a791d6d8c720dcffdd"),
+])
+def test_experiment_report_bytes_pinned(tmp_path, argv, digest):
+    code, body = _run_to_file(["experiment"] + argv, tmp_path / "report")
+    assert code == 0
+    assert hashlib.sha256(body).hexdigest() == digest
 
 
 def test_build_h_byte_identical(tmp_path):

@@ -540,6 +540,8 @@ def test_build_gadget_validates_sizes():
     # no attempt at all would read as "gave up"
     with pytest.raises(ValueError, match="max_retries >= 1"):
         build_gadget(8, 6, DESK, seed=0, max_retries=0)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        build_gadget(8, 6, DESK, seed=-1)
 
 
 def test_build_gadget_minor_status_is_informative():
@@ -1031,7 +1033,7 @@ def _sweep_reference(ns, trials, *, epsilon, c_const, delta, seed):
        epsilon=st.sampled_from([F(1, 3), F(1, 2), F(3, 4)]),
        c_const=st.sampled_from([F(1), F(3, 2), F(2)]),
        delta=st.sampled_from([None, F(1, 4), F(1, 2), F(2, 3)]),
-       seed=st.integers(0, 2**32))
+       seed=st.integers(0, 2**70))
 def test_sweep_matches_per_trial_graph_path(ns, trials, epsilon, c_const, delta, seed):
     # C != 1 makes the A side longer than the B side, so reading degrees off
     # a transposed hit matrix would show here
@@ -1039,11 +1041,72 @@ def test_sweep_matches_per_trial_graph_path(ns, trials, epsilon, c_const, delta,
     assert degree_property_sweep(ns, trials, **kw) == _sweep_reference(ns, trials, **kw)
 
 
+@pytest.mark.parametrize("ns, trials, c_const", [
+    ([128], 10, F(1)),     # 4 draws fill a block: two full blocks and a part
+    ([150], 2, F(3)),      # one draw is past the block size, which holds it
+    ([8, 3], 1030, F(3, 2)),  # 1030 trials take two seed blocks
+])
+def test_sweep_blocks_match_per_trial_graph_path(ns, trials, c_const):
+    kw = dict(epsilon=F(1, 2), c_const=c_const, delta=F(1, 2), seed=2**64 + 5)
+    assert degree_property_sweep(ns, trials, **kw) == _sweep_reference(ns, trials, **kw)
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**70),
+       n=st.integers(1, 2**33),
+       lo=st.one_of(st.integers(0, 2**32 - 4), st.integers(2**32, 2**40)),
+       count=st.integers(1, 4))
+def test_seed_block_matches_numpy(seed, n, lo, count):
+    # seed, n and trial of one or more 32-bit words, in every combination
+    seeds, states = construction._seed_block(seed, n, lo, lo + count)
+    want = [construction._derived_seed(seed, n, t) for t in range(lo, lo + count)]
+    assert seeds == want
+    assert states == [np.random.PCG64(s).state["state"] for s in want]
+
+
+def test_seed_state_pads_a_short_entropy_like_numpy():
+    # default_rng(s) hashes one word for s < 2**32 and the batch seeder two,
+    # the second 0; a derived seed that small is too rare to meet by chance
+    ss = [0, 1, 2**32 - 1, 2**32, 12345 << 32, 2**64 - 1]
+    entropy = np.array([[s & 0xFFFFFFFF for s in ss], [s >> 32 for s in ss]], np.uint32)
+    got = construction._seed_state(entropy, 8)
+    for i, s in enumerate(ss):
+        assert got[:, i].tolist() == np.random.SeedSequence(s).generate_state(8).tolist()
+
+
+def test_seed_block_refuses_to_straddle_the_trial_word_boundary():
+    with pytest.raises(ValueError):
+        construction._seed_block(1, 8, 2**32 - 1, 2**32 + 1)
+
+
+@pytest.mark.parametrize("perturb", ["seed", "state"])
+def test_sweep_guard_catches_a_seeder_that_disagrees_with_numpy(monkeypatch, perturb):
+    seed_block = construction._seed_block
+
+    def skewed(*args):
+        seeds, states = seed_block(*args)
+        if perturb == "seed":
+            seeds[0] ^= 1
+        else:
+            states[0] = dict(states[0], state=states[0]["state"] ^ 1 << 100)
+        return seeds, states
+
+    monkeypatch.setattr(construction, "_seed_block", skewed)
+    with pytest.raises(RuntimeError, match="disagrees with numpy"):
+        degree_property_sweep([16], 4, epsilon=F(1, 2), c_const=F(1), delta=F(1, 2),
+                              seed=9)
+    # a fault, never an answer or a usage error
+    from kstlab.cli import main
+    assert main(["experiment", "--n", "16", "--trials", "4", "--seed", "9"]) == 4
+
+
 def test_sweep_rejects_counts_that_allow_no_attempt():
     kw = dict(epsilon=F(1, 2), c_const=F(1), delta=F(1, 2), seed=5)
     for ns, trials in (([8], 0), ([8], -1), ([], 3)):
         with pytest.raises(ValueError):
             degree_property_sweep(ns, trials, **kw)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        degree_property_sweep([8], 3, **(kw | {"seed": -1}))
 
 
 def test_sweep_rows_complete():
