@@ -22,11 +22,14 @@ trims it to the new report, so it keeps the same file, permissions and
 symlink target; as before, the write is neither atomic nor fsynced.
 
 ``main`` hands the tokens after a known command name straight to that
-command's parser; anything else (no arguments, -h, an unknown command) goes
-through the top-level parser, which also reports the tokens a command's
-parser leaves over, so every usage and help text is what one argparse pass
-over the whole command line prints.  A JSON report is byte for byte
-``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline.
+command.  A well-formed command line is read in one pass over a table built
+once per process from the command's own argparse actions, and gives the
+namespace argparse would; every other one goes to the command's argparse
+parser (see ``_parse_args`` for which is which).  No arguments, -h or an
+unknown command go through the top-level parser, which also reports the
+tokens a command's parser leaves over, so every usage and help text is what
+one argparse pass over the whole command line prints.  A JSON report is
+byte for byte ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline.
 """
 
 from __future__ import annotations
@@ -424,9 +427,110 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
+# The add_argument actions whose effect the one-pass parse reproduces: store
+# one value, or store a flag's const.
+_ONE_PASS_ACTIONS = frozenset({"store", "store_true", "store_false", "store_const"})
+
+
+class _Command:
+    """A command's argparse parser, and what the one-pass parse reads of it:
+    the actions ``add_argument`` returned and the ``set_defaults`` values.
+    A command that uses anything else the pass does not mirror (a mutually
+    exclusive group, an explicit ``nargs``, another action, a string default
+    with a type) is parsed by argparse alone."""
+
+    def __init__(self, parser: argparse.ArgumentParser):
+        self.parser = parser
+        self.actions: list[argparse.Action] = []
+        self.defaults: dict = {}
+        self.mirrored = True
+
+    def add_argument(self, *names, **kwargs) -> argparse.Action:
+        action = self.parser.add_argument(*names, **kwargs)
+        self.actions.append(action)
+        if (kwargs.get("action", "store") not in _ONE_PASS_ACTIONS or "nargs" in kwargs
+                or isinstance(action.default, str) and action.type is not None):
+            self.mirrored = False
+        return action
+
+    def add_mutually_exclusive_group(self, **kwargs):
+        self.mirrored = False
+        return self.parser.add_mutually_exclusive_group(**kwargs)
+
+    def set_defaults(self, **kwargs) -> None:
+        self.parser.set_defaults(**kwargs)
+        self.defaults.update(kwargs)
+
+    @functools.cached_property
+    def table(self) -> tuple[dict, list, dict, list] | None:
+        """Option string -> action, the positional actions in order, the
+        namespace argparse starts from (each action's default, then the
+        ``set_defaults`` values), and the required option actions; None for
+        a command parsed by argparse alone."""
+        if not self.mirrored:
+            return None
+        options, positionals, start = {}, [], {}
+        for a in self.actions:
+            if a.option_strings:
+                options.update(dict.fromkeys(a.option_strings, a))
+            else:
+                positionals.append(a)
+            if a.default is not argparse.SUPPRESS:
+                start.setdefault(a.dest, a.default)
+        for dest, value in self.defaults.items():
+            start.setdefault(dest, value)
+        required = [a for a in self.actions if a.required and a.option_strings]
+        return options, positionals, start, required
+
+    def parse(self, tokens) -> argparse.Namespace | None:
+        """The namespace ``parser.parse_known_args(tokens)`` returns with no
+        extras, read in one pass; None for any argv the pass does not take,
+        which argparse then parses as usual."""
+        table = self.table
+        if table is None:
+            return None
+        options, positionals, start, required = table
+        values = dict(start)
+        seen = set()
+        npos = 0
+        i, end = 0, len(tokens)
+        while i < end:
+            token = tokens[i]
+            i += 1
+            if token[:1] == "-":
+                action = options.get(token)
+                if action is None:
+                    return None
+                seen.add(action)
+                if action.nargs == 0:
+                    values[action.dest] = action.const
+                    continue
+                if i == end or tokens[i][:1] == "-":
+                    return None
+                token = tokens[i]
+                i += 1
+            elif npos < len(positionals):
+                action = positionals[npos]
+                npos += 1
+            else:
+                return None
+            value = token
+            if action.type is not None:
+                try:
+                    value = action.type(token)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        if npos < len(positionals) or not seen.issuperset(required):
+            return None
+        return argparse.Namespace(**values)
+
+
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's parser by command name."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
+    """The top-level parser and each command by command name."""
     top = argparse.ArgumentParser(
         prog="kstlab",
         description="Exact minor testing, choosability checking, and random "
@@ -435,7 +539,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     commands = {}
 
     def command(name, **kwargs):
-        commands[name] = sub.add_parser(name, **kwargs)
+        commands[name] = _Command(sub.add_parser(name, **kwargs))
         return commands[name]
 
     def common(p, formats=("human", "json"), fmt_default="human"):
@@ -519,18 +623,27 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
 def _parse_args(argv) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, with the same namespace, output
-    and exit; a known command's tokens go straight to its own parser, so the
-    top-level parser does not read them all only to pick the command."""
+    and exit.  A known command's tokens skip the top-level parser: the
+    one-pass parse (``_Command.parse``) reads a well-formed command line, so
+    exact option strings each followed by a value that does not start with
+    '-', flags, and positionals in order, every value passing its type and
+    choices check and every required argument given.  Anything else (an
+    unknown or abbreviated option, --opt=value, -h, --, a value starting
+    with '-', a failed check, a missing or extra argument, or a command with
+    a mutually exclusive group) goes to the command's own argparse parser,
+    which prints every usage and help text."""
     top, commands = _parsers()
     if argv is None:
         argv = sys.argv[1:]
-    sub = commands.get(argv[0]) if argv else None
-    if sub is None:
+    cmd = commands.get(argv[0]) if argv else None
+    if cmd is None:
         return top.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
-        # the top-level parser reports what its command's parser left over
-        top.error("unrecognized arguments: " + " ".join(extras))
+    args = cmd.parse(argv[1:])
+    if args is None:
+        args, extras = cmd.parser.parse_known_args(argv[1:])
+        if extras:
+            # the top-level parser reports what its command's parser left over
+            top.error("unrecognized arguments: " + " ".join(extras))
     args.command = argv[0]
     return args
 

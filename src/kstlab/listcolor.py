@@ -28,8 +28,9 @@ a classical theorem already answers:
    otherwise be extended to v by the private color, which no neighbor can
    occupy.  Hence G is non-choosable iff some G - v is, or some assignment
    in which every color supports at least two vertices is bad.  The search
-   recurses over vertex-deleted subgraphs (memoized) and only enumerates
-   assignments with all color supports >= 2.
+   walks the vertex-deleted subgraphs depth first (memoized) and only
+   enumerates assignments with all color supports >= 2; both walks keep
+   explicit stacks, so depth is not bounded by the recursion limit.
 4. Two-choosable cores (Erdos-Rubin-Taylor 1979).  A connected graph is
    2-choosable iff the graph left after repeatedly deleting degree-1
    vertices is K_1, an even cycle, or theta_{2,2,2m} (two vertices joined by
@@ -431,25 +432,36 @@ def _bad_assignment_on(g: Graph, mask: int, k: int
                 return {v: frozenset(bits(l)) for v, l in zip(verts, lists)}
         return None
 
-    def rec(i: int, used: int, ones: int) -> dict[int, frozenset[int]] | None:
-        if i == last:
-            return decide(used, ones)
-        # vertices i..m-1 have (m - i) * k list slots left to lift every
-        # support-1 color to support >= 2
-        if ones.bit_count() > (m - i) * k:
-            return None
+    def children(used: int, ones: int):
+        # a list for the next vertex, with the colors used and the support-1
+        # colors once it is placed: ``new`` fresh colors and k - new old ones
         low = (1 << used) - 1
         for new in range(max(k - used, 0), k + 1):
             fresh = low ^ ((1 << (used + new)) - 1)
             for old in _subsets(low, k - new):
-                lists[i] = old | fresh
-                hit = rec(i + 1, used + new, (ones & ~old) | fresh)
-                if hit is not None:
-                    return hit
-        return None
+                yield old | fresh, used + new, (ones & ~old) | fresh
 
-    hit = rec(0, 0, 0)
-    return hit, leaves
+    if last == 0:
+        return decide(0, 0), leaves
+    # Depth-first over the vertices in order, one child iterator per vertex
+    # placed so far; stack[i] yields the lists of vertex i.
+    stack = [children(0, 0)]
+    while stack:
+        i = len(stack) - 1
+        step = next(stack[i], None)
+        if step is None:
+            stack.pop()
+            continue
+        lists[i], used, ones = step
+        if i + 1 == last:
+            hit = decide(used, ones)
+            if hit is not None:
+                return hit, leaves
+        # vertices i+1..m-1 have (m - i - 1) * k list slots left to lift
+        # every support-1 color to support >= 2
+        elif ones.bit_count() <= (m - i - 1) * k:
+            stack.append(children(used, ones))
+    return None, leaves
 
 
 def is_k_choosable(
@@ -485,31 +497,39 @@ def is_k_choosable(
     if k > max_k:
         raise ChoosabilityCapError(f"k={k} above exhaustive cap {max_k}")
 
+    # Memo DFS over kernels: a kernel has a bad assignment iff the kernel of
+    # some one-vertex deletion has one (tried in ascending vertex order), or
+    # else the kernel itself has one.  Frames are [kernel, vertices not yet
+    # deleted]; ``hit`` carries the answer of the kernel just finished.
     memo: dict[int, dict[int, frozenset[int]] | None] = {}
     leaves = 0
-
-    def bad_core(mask: int) -> dict[int, frozenset[int]] | None:
-        nonlocal leaves
-        mask = _kernel_mask(g, mask, k)
-        if mask == 0:
-            return None
+    stack: list[list[int]] = []
+    child = g.vertex_mask()
+    while True:
+        mask = _kernel_mask(g, child, k)
         if mask in memo:
-            return memo[mask]
-        if k == 2 and _two_choosable_core(g, mask):
-            memo[mask] = None
-            return None
-        hit = None
-        for v in bits(mask):
-            hit = bad_core(mask ^ (1 << v))
-            if hit is not None:
+            hit = memo[mask]
+        elif not mask or k == 2 and _two_choosable_core(g, mask):
+            hit = memo[mask] = None
+        else:
+            hit = None
+            stack.append([mask, mask])
+        while stack:
+            frame = stack[-1]
+            mask, rest = frame
+            if hit is None and rest:
+                b = rest & -rest
+                frame[1] = rest ^ b
+                child = mask ^ b
                 break
-        if hit is None:
-            hit, decided = _bad_assignment_on(g, mask, k)
-            leaves += decided
-        memo[mask] = hit
-        return hit
-
-    core = bad_core(g.vertex_mask())
+            if hit is None:
+                hit, decided = _bad_assignment_on(g, mask, k)
+                leaves += decided
+            memo[mask] = hit
+            stack.pop()
+        else:
+            core = hit
+            break
     universe = k * g.n
     if core is None:
         return ChoosabilityVerdict(k, True, None, universe, leaves)

@@ -497,11 +497,16 @@ def _blocks(adj, n: int) -> list[int]:
 def _split_at_edges(adj, block: int) -> list[int]:
     """Split a 2-connected vertex set along edges {u, v} whose removal
     disconnects it, until no such edge is left.  Each piece keeps u and v,
-    so it is again 2-connected and can be split further."""
+    so it is again 2-connected and can be split further.  A piece P with
+    2 * min degree of G[P] >= |P| + 1 has no such edge (see ``kst_atoms``),
+    so it is kept without looking for one."""
     out = []
     todo = [block]
     while todo:
         m = todo.pop()
+        if 2 * min((adj[v] & m).bit_count() for v in bits(m)) > m.bit_count():
+            out.append(m)
+            continue
         pair = _separating_edge(adj, m)
         if pair:
             todo += [c | pair for c in _components(adj, m & ~pair)]
@@ -526,7 +531,11 @@ def _atom_masks(adj, n: int, s: int) -> list[int]:
     if s == 1:
         atoms = _components(adj, (1 << n) - 1)
     else:
-        atoms = _blocks(adj, n)
+        # 2 * min degree >= n >= 3: the host is 2-connected, one block
+        if n >= 3 and 2 * min(a.bit_count() for a in adj) >= n:
+            atoms = [(1 << n) - 1]
+        else:
+            atoms = _blocks(adj, n)
         if s >= 3:
             atoms = [a for b in atoms for a in _split_at_edges(adj, b)]
     return sorted(atoms, key=lambda m: (m.bit_count(), m & -m))
@@ -539,6 +548,16 @@ def kst_atoms(g: Graph, s: int) -> list[tuple[int, ...]]:
     For s = 1 they are the connected components; for s >= 2 the blocks; for
     s >= 3 each block is further split along edges {u, v} whose removal
     disconnects it.  Every separator used is a clique of order less than s.
+
+    A degree bound skips both scans on dense hosts.  Let a graph on n
+    vertices have minimum degree delta with 2 * delta >= n + k - 2.  After
+    deleting any k - 1 vertices, two non-adjacent survivors have degree sum
+    at least 2 * (delta - k + 1) >= n - k among the survivors.  That is more
+    than the n - k - 1 other survivors, so the two share a neighbour, and
+    the survivors stay connected (deleting fewer vertices leaves more
+    slack).  With k = 2, a host with n >= 3 and 2 * delta >= n is its own
+    single block; with k = 3, a piece P with 2 * delta(G[P]) >= |P| + 1 has
+    no separating edge.
     """
     return [tuple(bits(m)) for m in _atom_masks(g.adj, g.n, s)]
 

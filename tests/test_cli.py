@@ -6,16 +6,30 @@ checks write reports through ``--out`` and compare file contents.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import shlex
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kstlab import cycle, complete_bipartite, is_k_choosable, petersen, serialize, uniform_lists
+from kstlab import (
+    complete_bipartite,
+    cycle,
+    is_k_choosable,
+    petersen,
+    serialize,
+    tiny_gadget,
+    uniform_lists,
+)
+from kstlab import cli
 from kstlab.cli import _json_report, build_parser, main
 from kstlab.graph import parse, path, to_edge_list, to_json_dict
 from kstlab.listcolor import ListAssignment, verify_coloring
@@ -244,6 +258,19 @@ def test_long_path_answers_without_recursion(tmp_path, capsys):
     assert model_violation(g, BranchModel.from_json_dict(model, g), MinorQuery(1, 2)) is None
 
 
+def test_long_odd_cycle_is_not_two_choosable_without_recursion(tmp_path, capsys):
+    # 1001 vertices is past the default recursion limit of 1000; the first
+    # 2-assignment of the odd cycle is already bad.
+    g = cycle(1001)
+    (tmp_path / "c1001.txt").write_text(to_edge_list(g))
+    assert main(["check-choosable", str(tmp_path / "c1001.txt"), "--k", "2",
+                 "--cap-n", "2000", "--format", "json"]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["choosable"], result["assignments"]) == (False, 1)
+    witness = ListAssignment.from_json_dict(result["witness"])
+    assert len(witness) == 1001 and all(len(l) == 2 for l in witness.lists)
+
+
 def test_cached_parser_gives_each_call_its_own_namespace(paths, capsys):
     assert build_parser() is build_parser()
     argv = ["check-minor", str(paths / "c4.txt"), "--s", "2", "--t", "2",
@@ -341,6 +368,156 @@ def test_abbreviated_option(paths, capsys):
     assert main(["check-minor", str(paths / "c4.txt"), "--s", "2", "--t", "2",
                  "--form", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["format"] == "json"
+
+
+# --- the one-pass parse against argparse ----------------------------------------
+#
+# main reads a well-formed command line in one pass over the command's declared
+# options and leaves every other one to argparse.  The argv below are drawn from
+# those declarations, with values small enough that every command answers at
+# once, and mixed with the tokens the pass must decline.
+
+COMMANDS = list(cli._parsers()[1])
+
+_INLINE_LISTS = '{"lists": [[0, 1], [0, 1], [0, 1], [0, 1]]}'
+
+
+def _values(action) -> tuple[list[str], list[str]]:
+    """Values for one declared argument: those its type and choices accept,
+    and those they refuse or that start with '-'."""
+    by_dest = {
+        "graph": (["c4.txt", "gadget.txt", "missing.txt", ""], ["-"]),
+        "lists": (["lists.json", _INLINE_LISTS, "missing.json"], []),
+        "out": (["r.txt", ""], ["-"]),
+        "seed": (["11", "0", "18446744073709551621"], ["-1", "x"]),
+    }
+    if action.dest in by_dest:
+        return by_dest[action.dest]
+    if action.choices is not None:
+        return list(action.choices), ["bogus"]
+    if action.type is int:
+        return ["1", "2", "3", "0"], ["-1", "x", "2.5", ""]
+    if action.type is cli._fraction:
+        return ["5/6", "4/3", "2/3", "1/2", "1", "0"], ["-1/2", "x"]
+    assert action.type is cli._int_list, action.dest
+    return ["4", "4,6", ","], ["x"]
+
+
+@st.composite
+def command_lines(draw, name):
+    """An argv for command ``name``: each declared argument absent, once or
+    repeated, in any order.  About half are well formed; the rest may also
+    hold refused values, options without their value and the tokens below."""
+    cmd = cli._parsers()[1][name]
+    parser_actions = cmd.actions + [  # the exclusive group's, added on its own
+        a for a in cmd.parser._actions if a.option_strings and a not in cmd.actions
+        and a.default is not argparse.SUPPRESS]
+    clean = draw(st.booleans())
+    items = []
+    for a in parser_actions:
+        if a.nargs != 0:
+            valid, refused = _values(a)
+            value = st.sampled_from(valid if clean else valid + refused)
+        if clean:
+            counts = [1] if not a.option_strings else [1, 2] if a.required else [0, 1, 2]
+        else:
+            counts = [1, 1, 1, 0, 2] if a.required else [0, 0, 1, 2]
+        for _ in range(draw(st.sampled_from(counts))):
+            if not a.option_strings:
+                items.append([draw(value)])
+            elif a.nargs == 0:
+                items.append([a.option_strings[0]])
+            elif clean or draw(st.integers(0, 4)):
+                items.append([a.option_strings[0], draw(value)])
+            else:  # an option without its value
+                items.append([a.option_strings[0]])
+    if not clean:
+        options = [a for a in parser_actions if a.option_strings]
+        odd = st.one_of(
+            st.sampled_from(["-h", "--help", "--", "", "--bogus", "-1", "-", "bogus"]),
+            st.sampled_from(options).flatmap(lambda a: st.sampled_from(
+                [a.option_strings[0][:-1], a.option_strings[0] + "="
+                 + (_values(a)[0][0] if a.nargs != 0 else "x")])))
+        items += [[t] for t in draw(st.lists(odd, max_size=2))]
+    return [name] + [t for item in draw(st.permutations(items)) for t in item]
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli")
+    (d / "c4.txt").write_text(to_edge_list(cycle(4)))
+    (d / "lists.json").write_text(uniform_lists(4, [0, 1]).to_json())
+    (d / "gadget.txt").write_text(to_edge_list(tiny_gadget()))
+    return d
+
+
+def _run_main(argv):
+    """main's exit code, stdout, stderr and the --out files it wrote."""
+    written = [Path("r.txt"), Path("-")]
+    for f in written:
+        f.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), [f.read_bytes() for f in written
+                                                   if f.exists()]
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_one_pass_parse_matches_argparse(name, cli_dir, data):
+    argv = data.draw(command_lines(name))
+    cmd = cli._parsers()[1][name]
+    args = cmd.parse(argv[1:])
+    if args is not None:
+        want, extras = cmd.parser.parse_known_args(argv[1:])
+        assert extras == [] and vars(args) == vars(want), argv
+    here = os.getcwd()
+    os.chdir(cli_dir)
+    try:
+        got = _run_main(argv)
+        with mock.patch.object(cli._Command, "parse", lambda self, tokens: None):
+            assert _run_main(argv) == got, argv
+    finally:
+        os.chdir(here)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-minor", "g.txt", "--s", "3", "--t", "4", "--budget", "300000",
+     "--format", "json", "--out", "r.json"],
+    ["check-minor", "--s", "2", "g.txt", "--deterministic", "--t", "2", "--s", "3"],
+    ["check-lcolor", "g.txt", "--format", "json", _INLINE_LISTS],
+    ["check-choosable", "g.txt", "--k", "2", "--cap-n", "2000", "--threads", "4"],
+    ["build-h", "--n", "6", "--m", "8", "--eps", "5/6", "--C", "4/3", "--delta", "2/3",
+     "--seed", "11", "--mode", "exhaustive", "--format", "json", "--out", ""],
+    ["bounds", "--eps", "1/2", "--C", "1", "--n", "5"],
+    ["experiment", "--n", "8,16", "--trials", "200", "--seed", "7", "--delta", "1/2"],
+])
+def test_one_pass_parse_takes_well_formed_command_lines(argv):
+    cmd = cli._parsers()[1][argv[0]]
+    args = cmd.parse(argv[1:])
+    assert args is not None
+    assert vars(args) == vars(cmd.parser.parse_known_args(argv[1:])[0])
+
+
+@pytest.mark.parametrize("argv", [
+    MINOR_ARGS + ["--s=3"],
+    MINOR_ARGS + ["--bud", "5"],
+    MINOR_ARGS + ["--budget", "-5"],
+    MINOR_ARGS + ["--out", "-"],
+    MINOR_ARGS + ["--budget", "x"],
+    MINOR_ARGS + ["--format", "csv"],
+    MINOR_ARGS + ["--", "h.txt"],
+    MINOR_ARGS + ["-h"],
+    MINOR_ARGS + ["extra"],
+    MINOR_ARGS + ["--budget"],
+    ["check-minor", "g.txt", "--s", "2"],
+    ["check-minor", "--s", "2", "--t", "2"],
+    ["build-counterexample", "--fixture", "tiny"],
+])
+def test_one_pass_parse_declines(argv):
+    assert cli._parsers()[1][argv[0]].parse(argv[1:]) is None
 
 
 # --- report shapes -----------------------------------------------------------

@@ -544,6 +544,14 @@ def test_cores_outside_the_characterisation_are_searched(g):
     _same_tree(g, 2, max_vertices=9)
 
 
+def test_long_odd_cycle_is_searched_without_recursion():
+    # 1001 kernel vertices, past the default recursion limit of 1000, for the
+    # memo DFS and the enumerator alike.
+    verdict = is_k_choosable(cycle(1001), 2, max_vertices=2000)
+    assert not verdict.choosable and verdict.assignments == 1
+    assert find_l_coloring(cycle(1001), verdict.witness) is None
+
+
 # --- cross-validation against the brute oracle ---------------------------
 
 

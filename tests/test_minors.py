@@ -564,6 +564,93 @@ def test_long_path_blocks_without_recursion():
     assert res.nodes_expanded == 0 and res.atoms_searched == 0
 
 
+def _atoms_scanned(g, s):
+    """The atoms of ``kst_atoms`` without the degree certificate: every host
+    goes through ``_blocks`` and every piece through ``_separating_edge``."""
+    adj = g.adj
+    if s == 1:
+        atoms = minors._components(adj, g.vertex_mask())
+    else:
+        atoms = minors._blocks(adj, g.n)
+    if s >= 3:
+        pieces, todo = [], atoms
+        while todo:
+            m = todo.pop()
+            pair = minors._separating_edge(adj, m)
+            if pair:
+                todo += [c | pair for c in minors._components(adj, m & ~pair)]
+            else:
+                pieces.append(m)
+        atoms = pieces
+    return sorted(tuple(bits(m)) for m in atoms)
+
+
+@st.composite
+def dense_graphs(draw, max_n=14):
+    """K_n minus up to 2n edges: minimum degree mostly near n / 2 or above."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    dropped = set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n))) if pairs else set()
+    return Graph.from_edges(n, [e for e in pairs if e not in dropped])
+
+
+@settings(max_examples=200)
+@given(st.one_of(dense_graphs(), sparse_graphs(min_n=1, max_n=14),
+                 graphs(min_n=1, max_n=14)))
+def test_degree_certificate_keeps_the_atoms(g):
+    for s in range(1, 5):
+        assert sorted(kst_atoms(g, s)) == _atoms_scanned(g, s), (g.adj, s)
+
+
+@pytest.fixture()
+def separating_edge_calls(monkeypatch):
+    calls = []
+    scan = minors._separating_edge
+
+    def counted(adj, m):
+        calls.append(m)
+        return scan(adj, m)
+
+    monkeypatch.setattr(minors, "_separating_edge", counted)
+    return calls
+
+
+@pytest.mark.parametrize("g, atoms3, scanned", [
+    (complete(1), [(0,)], True),
+    (complete(2), [(0, 1)], True),
+    (complete(3), [(0, 1, 2)], False),
+    (complete(4), [(0, 1, 2, 3)], False),
+    (cycle(5), [tuple(range(5))], True),
+    # 2 * delta = n: one block without a scan, but the piece is scanned
+    (complete_bipartite(3, 3), [tuple(range(6))], True),
+], ids=["K1", "K2", "K3", "K4", "C5", "K33"])
+def test_degree_certificate_edge_cases(g, atoms3, scanned, separating_edge_calls):
+    assert kst_atoms(g, 3) == atoms3
+    assert bool(separating_edge_calls) is scanned
+    for s in range(1, 5):
+        assert sorted(kst_atoms(g, s)) == _atoms_scanned(g, s)
+
+
+def test_two_connected_degree_bound_skips_the_block_scan(monkeypatch):
+    def refuse(adj, n):
+        raise AssertionError("2 * delta >= n should have skipped _blocks")
+
+    monkeypatch.setattr(minors, "_blocks", refuse)
+    for g in (complete(3), complete(4), cycle(4), complete_bipartite(3, 3)):
+        assert kst_atoms(g, 2) == [tuple(range(g.n))]
+
+
+@pytest.mark.parametrize("m, n", [(6, 5), (8, 6), (10, 8)])
+def test_desk_gadgets_pass_the_three_connected_bound(m, n, separating_edge_calls):
+    gadgets = [b.graph for b in (build_gadget(m, n, DESK, seed) for seed in (5, 11, 12))
+               if b.ok]
+    assert gadgets
+    for g in gadgets:
+        for s in (3, 4, 5):
+            assert kst_atoms(g, s) == [tuple(range(g.n))]
+    assert separating_edge_calls == []
+
+
 def test_budget_is_shared_across_atoms():
     # Two disjoint triangulated pentagons (outerplanar, so no K_{2,3}
     # minor) and then a K_{2,3}: the three atoms are searched in turn.
