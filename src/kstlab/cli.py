@@ -17,9 +17,14 @@ enumeration cap it refuses (2).  build-counterexample always verifies its
 assembly: the exact solver and the pigeonhole check on every proper
 B-coloring.  Every command runs single-threaded: --threads and
 --deterministic are accepted for compatibility, ignored, and left out of
-the echoed configuration.  --out rewrites an existing file in place and
-trims it to the new report, so it keeps the same file, permissions and
-symlink target; as before, the write is neither atomic nor fsynced.
+the echoed configuration.  --out encodes the report once and writes it with
+one os.write loop over an existing file, not truncated first, and trims the
+file only when it was longer than the report, so it keeps the same file,
+permissions and symlink target, and a device such as /dev/null is written
+but never truncated; the write is neither atomic nor fsynced.  Graph and
+list files are read unbuffered as bytes and decoded as a text-mode read
+with encoding utf-8-sig would: a leading byte-order mark dropped, CR and
+CRLF line ends read as LF.
 
 ``main`` hands the tokens after a known command name straight to that
 command.  A well-formed command line is read in one pass over a table built
@@ -75,18 +80,27 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
-# utf-8-sig drops a leading byte-order mark, which would otherwise hide a
-# JSON file's '{' from the format sniffing in graph.parse.
+def _read_text(path: str) -> str:
+    """The text ``open(path, encoding="utf-8-sig").read()`` gives, read
+    unbuffered as bytes: a leading byte-order mark (which would otherwise
+    hide a JSON file's '{' from the format sniffing in graph.parse) is
+    dropped, and CRLF and lone CR read as LF, as universal newlines translate
+    them."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.readall().decode("utf-8-sig")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _load_graph(path: str) -> gr.Graph:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return gr.parse(fh.read())
+    return gr.parse(_read_text(path))
 
 
 def _load_lists(source: str) -> lc.ListAssignment:
     text = source
     if not source.lstrip().startswith("{"):
-        with open(source, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        text = _read_text(source)
     return lc.ListAssignment.from_json_dict(json.loads(text))
 
 
@@ -102,24 +116,27 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return out
 
 
-def _open_in_place(path, flags: int) -> int:
-    """``open`` mode "w" without O_TRUNC: truncating a file to zero bytes
-    before rewriting it costs more than the whole write on some file
-    systems (ext4 flushes its delayed allocation), so ``_write`` overwrites
-    the old bytes and trims what is left of them."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
 def _write(args, body: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="",
-                  opener=_open_in_place) as fh:
-            fh.write(body)
-            # a device such as /dev/null cannot be truncated, nor needs it
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
-    else:
+    """Write a report to stdout or rewrite the --out file in place.  The file
+    is opened without O_TRUNC, since truncating it to zero bytes first costs
+    more than the whole write on some file systems (ext4 flushes its delayed
+    allocation); the new bytes overwrite the old and a regular file that was
+    longer is trimmed to them."""
+    if not args.out:
         sys.stdout.write(body)
+        return
+    data = body.encode()
+    fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        done = os.write(fd, data)
+        while done < len(data):
+            done += os.write(fd, data[done:])
+        # a device such as /dev/null cannot be truncated, nor needs it
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > done:
+            os.ftruncate(fd, done)
+    finally:
+        os.close(fd)
 
 
 _INF = float("inf")

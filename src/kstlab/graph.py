@@ -338,7 +338,8 @@ def glue(spec: GlueSpec) -> Graph:
 #   line 2:  A=<space separated vertex ids>     (optional; the rest are B)
 #   then exactly m lines "u v" with 0 <= u,v < n, u != v.
 # '#' starts a comment anywhere on a line.  A repeated edge is merged and
-# reported through DuplicateEdgeWarning.
+# reported through DuplicateEdgeWarning.  Every integer is an optional '-'
+# followed by ASCII decimal digits.
 
 
 def to_edge_list(g: Graph) -> str:
@@ -348,6 +349,15 @@ def to_edge_list(g: Graph) -> str:
     for u, v in g.edges():
         lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
+
+
+def _ascii_int(text: str) -> int:
+    """``int(text)`` for an optional '-' followed by ASCII digits; ValueError
+    for the rest of what int() reads: '+', '_' between digits, non-ASCII
+    digits."""
+    if text.isascii() and (text.isdigit() or text[:1] == "-" and text[1:].isdigit()):
+        return int(text)
+    raise ValueError(f"not an ASCII decimal integer: {text!r}")
 
 
 def from_edge_list(text: str) -> Graph:
@@ -363,8 +373,8 @@ def from_edge_list(text: str) -> Graph:
     if len(parts) != 2 or not parts[0].startswith("n=") or not parts[1].startswith("m="):
         raise GraphFormatError(f"line {lineno}: expected 'n=<int> m=<int>', got {head!r}")
     try:
-        n = int(parts[0][2:])
-        m = int(parts[1][2:])
+        n = _ascii_int(parts[0][2:])
+        m = _ascii_int(parts[1][2:])
     except ValueError:
         raise GraphFormatError(f"line {lineno}: non-integer in header {head!r}") from None
     if n < 0 or m < 0:
@@ -375,7 +385,7 @@ def from_edge_list(text: str) -> Graph:
         lineno, body = rows[0]
         spec = body[2:].split()
         try:
-            a_set = {int(x) for x in spec}
+            a_set = {_ascii_int(x) for x in spec}
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer vertex in A= line") from None
         for v in a_set:
@@ -392,7 +402,7 @@ def from_edge_list(text: str) -> Graph:
         if len(fields) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v', got {body!r}")
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = _ascii_int(fields[0]), _ascii_int(fields[1])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer endpoint in {body!r}") from None
         if not (0 <= u < n and 0 <= v < n):

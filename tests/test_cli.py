@@ -220,6 +220,111 @@ def test_malformed_lists_json_is_a_usage_error(paths, capsys, lists):
     assert "kstlab: error:" in capsys.readouterr().err
 
 
+# --- file input ----------------------------------------------------------------
+# A graph or list file reads as open(path, encoding="utf-8-sig").read() reads
+# it: a leading byte-order mark is dropped, CR and CRLF line ends read as LF
+# (error line numbers and JSON positions count the translated text), and an
+# invalid byte names its offset after the mark.  Each case pins the exit
+# code, the exact stderr and, for an input that parses, the result object.
+
+BOM = b"\xef\xbb\xbf"
+C4_TXT = b"n=4 m=4\n0 1\n0 3\n1 2\n2 3\n"
+C4_JSON = (b'{"edges": [[0, 1], [0, 3], [1, 2], [2, 3]],\n"format_version": 1,\n'
+           b'"labels": null,\n"vertex_count": 4}\n')
+C4_LISTS = b'{"lists": [\n[0, 1],\n[0, 1],\n[0, 1],\n[0, 1]]}\n'
+C4_K22 = {"atoms_searched": 1, "model": {"side1": [[0], [2]], "side2": [[1], [3]]},
+          "nodes_expanded": 6, "status": "found"}
+C4_COLORED = {"colorable": True, "coloring": [0, 1, 0, 1]}
+BAD_BYTE = "kstlab: error: 'utf-8' codec can't decode byte 0xff in position %d: invalid start byte\n"
+LONG_COMMENT = b"#" + b"x" * 9000 + b"\n"
+
+
+def _crlf(data: bytes) -> bytes:
+    return data.replace(b"\n", b"\r\n")
+
+
+def _cr(data: bytes) -> bytes:
+    return data.replace(b"\n", b"\r")
+
+
+GRAPH_FILES = [
+    ("txt-bom", BOM + C4_TXT, 0, "", C4_K22),
+    ("txt-crlf", _crlf(C4_TXT), 0, "", C4_K22),
+    ("txt-cr", _cr(C4_TXT), 0, "", C4_K22),
+    ("txt-bom-crlf", BOM + _crlf(C4_TXT), 0, "", C4_K22),
+    ("json-bom", BOM + C4_JSON, 0, "", C4_K22),
+    ("json-crlf", _crlf(C4_JSON), 0, "", C4_K22),
+    ("json-cr", _cr(C4_JSON), 0, "", C4_K22),
+    ("txt-bad-byte", C4_TXT + b"# \xff\n", 3, BAD_BYTE % 26, None),
+    ("txt-bom-bad-byte", BOM + C4_TXT + b"# \xff\n", 3, BAD_BYTE % 26, None),
+    ("txt-bad-byte-past-8k", C4_TXT + LONG_COMMENT + b"# \xff\n", 3, BAD_BYTE % 9028, None),
+    ("json-bom-bad-byte", BOM + C4_JSON + b"\xff", 3, BAD_BYTE % 100, None),
+    ("txt-crlf-error", _crlf(b"n=3 m=1\n# c\n0 x\n"), 3,
+     "kstlab: error: line 3: non-integer endpoint in '0 x'\n", None),
+    ("txt-cr-error", _cr(b"n=3 m=1\n# c\n0 x\n"), 3,
+     "kstlab: error: line 3: non-integer endpoint in '0 x'\n", None),
+    ("txt-crlf-past-8k-error", _crlf(C4_TXT.replace(b"2 3", b"2 3 4") + LONG_COMMENT), 3,
+     "kstlab: error: line 5: expected 'u v', got '2 3 4'\n", None),
+    ("json-crlf-error", _crlf(C4_JSON.replace(b"null", b"nul")), 3,
+     "kstlab: error: invalid JSON at position 75: Expecting value\n", None),
+    ("json-cr-error", _cr(C4_JSON.replace(b"null", b"nul")), 3,
+     "kstlab: error: invalid JSON at position 75: Expecting value\n", None),
+]
+
+LIST_FILES = [
+    ("bom", BOM + C4_LISTS, 0, "", C4_COLORED),
+    ("crlf", _crlf(C4_LISTS), 0, "", C4_COLORED),
+    ("cr", _cr(C4_LISTS), 0, "", C4_COLORED),
+    ("bad-byte", C4_LISTS + b"\xff", 3, BAD_BYTE % 45, None),
+    ("bom-bad-byte", BOM + C4_LISTS + b"\xff", 3, BAD_BYTE % 45, None),
+    ("bad-byte-past-8k", C4_LISTS + b" " * 9000 + b"\xff", 3, BAD_BYTE % 9045, None),
+    ("crlf-error", _crlf(C4_LISTS.replace(b"[0, 1],\n[0, 1]]", b"[0, 1],,\n[0, 1]]")), 3,
+     "kstlab: error: Expecting value: line 4 column 8 (char 35)\n", None),
+    ("cr-error", _cr(C4_LISTS.replace(b"[0, 1],\n[0, 1]]", b"[0, 1],,\n[0, 1]]")), 3,
+     "kstlab: error: Expecting value: line 4 column 8 (char 35)\n", None),
+]
+
+
+def _answer(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, err, json.loads(out)["result"] if out else None
+
+
+@pytest.mark.parametrize("name, data, code, err, result", GRAPH_FILES,
+                         ids=[case[0] for case in GRAPH_FILES])
+def test_graph_file_input_pinned(tmp_path, capsys, name, data, code, err, result):
+    g = tmp_path / name
+    g.write_bytes(data)
+    argv = ["check-minor", str(g), "--s", "2", "--t", "2", "--format", "json"]
+    assert _answer(capsys, argv) == (code, err, result)
+
+
+@pytest.mark.parametrize("name, data, code, err, result", LIST_FILES,
+                         ids=[case[0] for case in LIST_FILES])
+def test_list_file_input_pinned(tmp_path, capsys, name, data, code, err, result):
+    g, lists = tmp_path / "c4.txt", tmp_path / name
+    g.write_bytes(C4_TXT)
+    lists.write_bytes(data)
+    argv = ["check-lcolor", str(g), str(lists), "--format", "json"]
+    assert _answer(capsys, argv) == (code, err, result)
+
+
+def test_missing_or_directory_input_is_a_usage_error(tmp_path, capsys):
+    g = tmp_path / "c4.txt"
+    g.write_bytes(C4_TXT)
+    missing = str(tmp_path / "missing.txt")
+    no_file = f"kstlab: error: [Errno 2] No such file or directory: '{missing}'\n"
+    a_dir = f"kstlab: error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    for argv, err in [
+        (["check-minor", missing, "--s", "2", "--t", "2"], no_file),
+        (["check-minor", str(tmp_path), "--s", "2", "--t", "2"], a_dir),
+        (["check-lcolor", str(g), missing], no_file),
+        (["check-lcolor", str(g), str(tmp_path)], a_dir),
+    ]:
+        assert _answer(capsys, argv) == (3, err, None)
+
+
 def test_internal_error_is_not_an_answer(paths, capsys, monkeypatch):
     import kstlab.minors as mn
 
@@ -815,6 +920,48 @@ def test_out_to_dev_null(paths, capsys):
     assert main(["check-minor", str(paths / "c4.txt"), "--s", "2", "--t", "2",
                  "--format", "json", "--out", "/dev/null"]) == 0
     assert capsys.readouterr() == ("", "")
+
+
+def test_out_write_loop_takes_short_writes(tmp_path, monkeypatch):
+    # os.write may write fewer bytes than it is given; the loop writes the rest
+    fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+    argv = SMALL_H + ["--format", "json"]
+    assert main(argv + ["--out", str(fresh)]) == 0
+    assert main(LARGE_H + ["--format", "json", "--out", str(reused)]) == 0
+    assert reused.stat().st_size > fresh.stat().st_size
+    write, sizes = os.write, []
+
+    def short_write(fd, data):
+        sizes.append(len(data))
+        return write(fd, data[:7])
+
+    monkeypatch.setattr(os, "write", short_write)
+    assert main(argv + ["--out", str(reused)]) == 0
+    monkeypatch.undo()
+    body = fresh.read_bytes()
+    assert reused.read_bytes() == body
+    assert len(sizes) == -(-len(body) // 7) and sizes[0] == len(body)
+
+
+def test_out_rewrite_of_the_same_report_needs_no_trim(tmp_path, monkeypatch):
+    report = tmp_path / "h.txt"
+    assert main(SMALL_H + ["--out", str(report)]) == 0
+    before, body = report.stat(), report.read_bytes()
+    ftruncate, trims = os.ftruncate, []
+
+    def recorded_ftruncate(fd, length):
+        trims.append(length)
+        ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "ftruncate", recorded_ftruncate)
+    assert main(SMALL_H + ["--out", str(report)]) == 0
+    assert trims == []
+    assert report.read_bytes() == body and report.stat().st_ino == before.st_ino
+    # over a longer report: one trim, to the new report's length
+    assert main(LARGE_H + ["--out", str(report)]) == 0
+    assert main(SMALL_H + ["--out", str(report)]) == 0
+    assert trims == [len(body)]
+    assert report.read_bytes() == body and report.stat().st_ino == before.st_ino
 
 
 def test_python_dash_m_entry_point(paths):

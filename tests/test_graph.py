@@ -301,6 +301,42 @@ def test_edge_list_error_reports_line_numbers():
         from_edge_list("nonsense\n")
 
 
+# int() alone would read these: '_' between digits, a '+' sign, an
+# Arabic-Indic zero.  The JSON reader is as strict (``type(x) is int``).
+@pytest.mark.parametrize("text, err", [
+    ("n=1_1 m=1\n0 1_0\n", "line 1: non-integer in header 'n=1_1 m=1'"),
+    ("n=+3 m=0\n", "line 1: non-integer in header 'n=+3 m=0'"),
+    ("n=3 m=1\n٠ +2\n", "line 2: non-integer endpoint in '٠ +2'"),
+    ("n=3 m=1\n0 +2\n", "line 2: non-integer endpoint in '0 +2'"),
+    ("n=3 m=1\n0 ٢  # é\n", "line 2: non-integer endpoint in '0 ٢'"),
+    ("n=3 m=0\nA=0 1_0\n", "line 2: non-integer vertex in A= line"),
+    ("n=3 m=0\nA=+1\n", "line 2: non-integer vertex in A= line"),
+    ("n=3 m=1\n0 १\n", "line 2: non-integer endpoint in '0 १'"),
+    ("n=3 m=1\n0 2_\n", "line 2: non-integer endpoint in '0 2_'"),
+    ("n=3 m=1\n0 -\n", "line 2: non-integer endpoint in '0 -'"),
+    ("n=3 m=1\n0 --2\n", "line 2: non-integer endpoint in '0 --2'"),
+    # '-' is still read, so these keep their messages
+    ("n=-1 m=0\n", "line 1: negative count in header"),
+    ("n=3 m=0\nA=-1\n", "line 2: A-vertex -1 out of range"),
+    ("n=3 m=1\n0 -2\n", "line 2: edge (0,-2) out of range for n=3"),
+])
+def test_edge_list_integers_are_ascii_decimal(tmp_path, capsys, text, err):
+    from kstlab.cli import main
+
+    with pytest.raises(GraphFormatError) as exc:
+        from_edge_list(text)
+    assert str(exc.value) == err
+    g = tmp_path / "g.txt"
+    g.write_text(text, encoding="utf-8")
+    assert main(["check-minor", str(g), "--s", "1", "--t", "1"]) == 3
+    assert capsys.readouterr() == ("", f"kstlab: error: {err}\n")
+
+
+def test_edge_list_integers_may_have_leading_zeros():
+    assert from_edge_list("n=03 m=1\nA=00\n00 02\n") == \
+        from_edge_list("n=3 m=1\nA=0\n0 2\n")
+
+
 def test_duplicate_edge_warning():
     with pytest.warns(DuplicateEdgeWarning):
         g = from_edge_list("n=3 m=2\n0 1\n1 0\n")
