@@ -27,22 +27,21 @@ with encoding utf-8-sig would: a leading byte-order mark dropped, CR and
 CRLF line ends read as LF.
 
 ``main`` hands the tokens after a known command name straight to that
-command.  A well-formed command line is read in one pass over a table built
-once per process from the command's own argparse actions, and gives the
-namespace argparse would; every other one goes to the command's argparse
-parser (see ``_parse_args`` for which is which).  No arguments, -h or an
-unknown command go through the top-level parser, which also reports the
-tokens a command's parser leaves over, so every usage and help text is what
-one argparse pass over the whole command line prints.  A JSON report is
-byte for byte ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline.
+command.  Each command line takes one of two paths: a well-formed one is
+read in one pass over a table built once per process from the command's own
+argparse actions, and gives the namespace argparse would; every other one
+(no arguments, an unknown command, -h, a usage error) goes to the top-level
+argparse parser, so every usage and help text is what one argparse pass over
+the whole command line prints (see ``_parse_args``).  Integer options read
+an optional '-' followed by ASCII digits, as graph files do.  A JSON report
+is byte for byte ``json.dumps(doc, sort_keys=True, indent=2)`` plus a
+newline.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import stat
@@ -73,9 +72,19 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
+def _int(text: str) -> int:
+    """An integer as graph files write one: an optional '-' followed by
+    ASCII digits.  Named ``int`` so that argparse reports a refused value as
+    ``invalid int value``."""
+    return gr._ascii_int(text)
+
+
+_int.__name__ = "int"
+
+
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x != ""]
+        return [gr._ascii_int(x) for x in text.split(",") if x != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
@@ -411,14 +420,12 @@ def _cmd_experiment(args) -> int:
     rows = cx.degree_property_sweep(args.n, args.trials, epsilon=args.eps,
                                     c_const=args.C, delta=args.delta, seed=args.seed)
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write("# config: " + json.dumps(_config_echo(args), sort_keys=True)
-                  + f" format_version={FORMAT_VERSION}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "seed", "p", "max_degree", "degree_pass"])
-        for r in rows:
-            writer.writerow([r.n, r.seed, repr(r.p), r.max_degree, r.degree_pass])
-        _write(args, buf.getvalue())
+        # ints, bools and float reprs, none of which a CSV writer would quote
+        lines = ["# config: " + json.dumps(_config_echo(args), sort_keys=True)
+                 + f" format_version={FORMAT_VERSION}",
+                 "n,seed,p,max_degree,degree_pass"]
+        lines += [f"{r.n},{r.seed},{r.p!r},{r.max_degree},{r.degree_pass}" for r in rows]
+        _write(args, "\n".join(lines) + "\n")
         return EXIT_YES
     payload = {"rows": [vars(r) | {"p": repr(r.p)} for r in rows]}
 
@@ -444,50 +451,35 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
-# The add_argument actions whose effect the one-pass parse reproduces: store
-# one value, or store a flag's const.
-_ONE_PASS_ACTIONS = frozenset({"store", "store_true", "store_false", "store_const"})
-
-
 class _Command:
     """A command's argparse parser, and what the one-pass parse reads of it:
-    the actions ``add_argument`` returned and the ``set_defaults`` values.
-    A command that uses anything else the pass does not mirror (a mutually
-    exclusive group, an explicit ``nargs``, another action, a string default
-    with a type) is parsed by argparse alone."""
+    the actions ``add_argument`` returned, the actions of the command's one
+    required mutually exclusive group (``exclusive``, empty when it has
+    none) and the ``set_defaults`` values."""
 
     def __init__(self, parser: argparse.ArgumentParser):
         self.parser = parser
         self.actions: list[argparse.Action] = []
+        self.exclusive: tuple[argparse.Action, ...] = ()
         self.defaults: dict = {}
-        self.mirrored = True
 
     def add_argument(self, *names, **kwargs) -> argparse.Action:
         action = self.parser.add_argument(*names, **kwargs)
         self.actions.append(action)
-        if (kwargs.get("action", "store") not in _ONE_PASS_ACTIONS or "nargs" in kwargs
-                or isinstance(action.default, str) and action.type is not None):
-            self.mirrored = False
         return action
-
-    def add_mutually_exclusive_group(self, **kwargs):
-        self.mirrored = False
-        return self.parser.add_mutually_exclusive_group(**kwargs)
 
     def set_defaults(self, **kwargs) -> None:
         self.parser.set_defaults(**kwargs)
         self.defaults.update(kwargs)
 
     @functools.cached_property
-    def table(self) -> tuple[dict, list, dict, list] | None:
+    def table(self) -> tuple[dict, list, dict, list, frozenset]:
         """Option string -> action, the positional actions in order, the
         namespace argparse starts from (each action's default, then the
-        ``set_defaults`` values), and the required option actions; None for
-        a command parsed by argparse alone."""
-        if not self.mirrored:
-            return None
+        ``set_defaults`` values), the required option actions and the
+        exclusive group's actions."""
         options, positionals, start = {}, [], {}
-        for a in self.actions:
+        for a in self.actions + list(self.exclusive):
             if a.option_strings:
                 options.update(dict.fromkeys(a.option_strings, a))
             else:
@@ -497,16 +489,13 @@ class _Command:
         for dest, value in self.defaults.items():
             start.setdefault(dest, value)
         required = [a for a in self.actions if a.required and a.option_strings]
-        return options, positionals, start, required
+        return options, positionals, start, required, frozenset(self.exclusive)
 
     def parse(self, tokens) -> argparse.Namespace | None:
-        """The namespace ``parser.parse_known_args(tokens)`` returns with no
-        extras, read in one pass; None for any argv the pass does not take,
-        which argparse then parses as usual."""
-        table = self.table
-        if table is None:
-            return None
-        options, positionals, start, required = table
+        """The namespace the command's parser returns for ``tokens``, read in
+        one pass; None for any argv the pass does not take, which argparse
+        then parses as usual."""
+        options, positionals, start, required, exclusive = self.table
         values = dict(start)
         seen = set()
         npos = 0
@@ -540,7 +529,8 @@ class _Command:
             if action.choices is not None and value not in action.choices:
                 return None
             values[action.dest] = value
-        if npos < len(positionals) or not seen.issuperset(required):
+        if npos < len(positionals) or not seen.issuperset(required) \
+                or exclusive and len(seen & exclusive) != 1:
             return None
         return argparse.Namespace(**values)
 
@@ -562,7 +552,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
     def common(p, formats=("human", "json"), fmt_default="human"):
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--format", choices=formats, default=fmt_default)
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_int, default=1,
                        help="ignored: every command runs single-threaded "
                             "(flag kept for command-line compatibility)")
         p.add_argument("--deterministic", action="store_true",
@@ -571,9 +561,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
 
     p = command("check-minor", help="exact K_{s,t} minor search")
     p.add_argument("graph", help="edge-list or JSON graph file")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--s", type=_int, required=True)
+    p.add_argument("--t", type=_int, required=True)
+    p.add_argument("--budget", type=_int, default=None,
                    help="node-expansion cap (default: unlimited)")
     common(p)
     p.set_defaults(func=_cmd_check_minor)
@@ -586,40 +576,40 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
 
     p = command("check-choosable", help="exact k-choosability")
     p.add_argument("graph")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cap-n", type=int, default=8,
+    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--cap-n", type=_int, default=8,
                    help="vertex cap for the exhaustive search")
-    p.add_argument("--cap-k", type=int, default=3, help="list-size cap")
+    p.add_argument("--cap-k", type=_int, default=3, help="list-size cap")
     common(p)
     p.set_defaults(func=_cmd_check_choosable)
 
     p = command("build-h", help="sample a two-clique gadget")
-    p.add_argument("--n", type=int, required=True, help="B-side size")
-    p.add_argument("--m", type=int, required=True, help="A-side size kept")
+    p.add_argument("--n", type=_int, required=True, help="B-side size")
+    p.add_argument("--m", type=_int, required=True, help="A-side size kept")
     p.add_argument("--eps", type=_fraction, required=True)
     p.add_argument("--C", type=_fraction, required=True)
     p.add_argument("--delta", type=_fraction, default=None,
                    help="override the derived edge exponent (then f = 1)")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-retries", type=int, default=32)
+    p.add_argument("--seed", type=_int, required=True)
+    p.add_argument("--max-retries", type=_int, default=32)
     p.add_argument("--mode", choices=["exhaustive"], default="exhaustive",
                    help="block-property check mode (exact; the only choice)")
     common(p)
     p.set_defaults(func=_cmd_build_h)
 
     p = command("build-counterexample", help="glue gadget copies and punch lists")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--graph", help="labeled gadget file")
-    source.add_argument("--fixture", choices=["tiny", "clique"],
-                        help="use a built-in 4-vertex gadget")
-    p.add_argument("--max-vertices", type=int, default=1_000_000)
+    source = p.parser.add_mutually_exclusive_group(required=True)
+    p.exclusive = (source.add_argument("--graph", help="labeled gadget file"),
+                   source.add_argument("--fixture", choices=["tiny", "clique"],
+                                       help="use a built-in 4-vertex gadget"))
+    p.add_argument("--max-vertices", type=_int, default=1_000_000)
     common(p)
     p.set_defaults(func=_cmd_build_counterexample)
 
     p = command("bounds", help="probability bound exponents")
     p.add_argument("--eps", type=_fraction, required=True)
     p.add_argument("--C", type=_fraction, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--delta", type=_fraction, default=None)
     common(p)
     p.set_defaults(func=_cmd_bounds)
@@ -627,8 +617,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
     p = command("experiment", help="seeded Monte Carlo degree sweep")
     p.add_argument("--n", type=_int_list, required=True,
                    help="comma-separated B-side sizes")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--trials", type=_int, required=True)
+    p.add_argument("--seed", type=_int, required=True)
     p.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--C", type=_fraction, default=Fraction(1))
     p.add_argument("--delta", type=_fraction, default=None)
@@ -640,27 +630,21 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
 
 def _parse_args(argv) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, with the same namespace, output
-    and exit.  A known command's tokens skip the top-level parser: the
-    one-pass parse (``_Command.parse``) reads a well-formed command line, so
-    exact option strings each followed by a value that does not start with
-    '-', flags, and positionals in order, every value passing its type and
-    choices check and every required argument given.  Anything else (an
-    unknown or abbreviated option, --opt=value, -h, --, a value starting
-    with '-', a failed check, a missing or extra argument, or a command with
-    a mutually exclusive group) goes to the command's own argparse parser,
-    which prints every usage and help text."""
+    and exit.  A known command's well-formed tokens are read by the one-pass
+    parse (``_Command.parse``): exact option strings each followed by a value
+    that does not start with '-', flags, and positionals in order, every
+    value passing its type and choices check, every required argument and
+    exactly one option of an exclusive group given.  Every other argv (no
+    command or an unknown one, an abbreviated option, --opt=value, -h, --, a
+    value starting with '-', a failed check, a missing or extra argument)
+    goes to the top-level parser, which prints every usage and help text."""
     top, commands = _parsers()
     if argv is None:
         argv = sys.argv[1:]
     cmd = commands.get(argv[0]) if argv else None
-    if cmd is None:
-        return top.parse_args(argv)
-    args = cmd.parse(argv[1:])
+    args = cmd.parse(argv[1:]) if cmd is not None else None
     if args is None:
-        args, extras = cmd.parser.parse_known_args(argv[1:])
-        if extras:
-            # the top-level parser reports what its command's parser left over
-            top.error("unrecognized arguments: " + " ".join(extras))
+        return top.parse_args(argv)
     args.command = argv[0]
     return args
 

@@ -337,9 +337,11 @@ def glue(spec: GlueSpec) -> Graph:
 #   line 1:  n=<int> m=<int>
 #   line 2:  A=<space separated vertex ids>     (optional; the rest are B)
 #   then exactly m lines "u v" with 0 <= u,v < n, u != v.
-# '#' starts a comment anywhere on a line.  A repeated edge is merged and
-# reported through DuplicateEdgeWarning.  Every integer is an optional '-'
-# followed by ASCII decimal digits.
+# Lines end at LF, CRLF or a lone CR, and at nothing else (not at the other
+# breaks str.splitlines knows, such as U+0085 or U+2028).  '#' starts a
+# comment anywhere on a line.  A repeated edge is merged and reported
+# through DuplicateEdgeWarning.  Every integer is an optional '-' followed by
+# ASCII decimal digits.
 
 
 def to_edge_list(g: Graph) -> str:
@@ -361,8 +363,10 @@ def _ascii_int(text: str) -> int:
 
 
 def from_edge_list(text: str) -> Graph:
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
             rows.append((lineno, body))
@@ -462,16 +466,13 @@ def serialize(g: Graph, fmt: str = "edge-list") -> str:
     raise ValueError(f"unknown graph format {fmt!r}")
 
 
-def parse(text: str, fmt: str | None = None) -> Graph:
-    """Parse a graph; with fmt=None, sniff JSON by a leading '{'."""
-    if fmt is None:
-        fmt = "json" if text.lstrip()[:1] == "{" else "edge-list"
-    if fmt == "edge-list":
+def parse(text: str) -> Graph:
+    """Parse a graph: JSON when its first non-blank character is '{', else
+    an edge list."""
+    if text.lstrip()[:1] != "{":
         return from_edge_list(text)
-    if fmt == "json":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"invalid JSON at position {exc.pos}: {exc.msg}") from None
-        return from_json_dict(data)
-    raise ValueError(f"unknown graph format {fmt!r}")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"invalid JSON at position {exc.pos}: {exc.msg}") from None
+    return from_json_dict(data)

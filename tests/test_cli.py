@@ -6,7 +6,6 @@ checks write reports through ``--out`` and compare file contents.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -171,6 +170,29 @@ def test_usage_errors_exit_above_two(paths, capsys):
     assert main(["check-choosable", c4, "--k", "2", "--cap-n", "-1"]) == 3
     assert main(["check-choosable", c4, "--k", "2", "--cap-n", "0", "--format", "json"]) == 3
     assert "refused" not in capsys.readouterr().out
+
+
+# Integer options read what graph files read, an optional '-' and ASCII
+# digits: int() alone would take '_' between digits, a '+' sign and
+# non-ASCII digits.
+@pytest.mark.parametrize("argv, err", [
+    (["bounds", "--eps", "1/2", "--C", "1", "--n", "1_0"],
+     "argument --n: invalid int value: '1_0'"),
+    (["bounds", "--eps", "1/2", "--C", "1", "--n", "+٣"],
+     "argument --n: invalid int value: '+٣'"),
+    (["check-minor", "g.txt", "--s", "+2", "--t", "2"],
+     "argument --s: invalid int value: '+2'"),
+    (["build-counterexample", "--fixture", "tiny", "--max-vertices", "1_000"],
+     "argument --max-vertices: invalid int value: '1_000'"),
+    (["experiment", "--n", "4,1_0", "--trials", "5", "--seed", "1"],
+     "argument --n: not a comma-separated int list: '4,1_0'"),
+    (["experiment", "--n", "4", "--trials", "5", "--seed", "٣"],
+     "argument --seed: invalid int value: '٣'"),
+])
+def test_integer_options_are_ascii_decimal(capsys, argv, err):
+    assert main(argv) == 3
+    out, text = capsys.readouterr()
+    assert out == "" and text.endswith(f": error: {err}\n"), text
 
 
 def test_build_h_is_exhaustive_by_default(capsys):
@@ -388,8 +410,8 @@ def test_cached_parser_gives_each_call_its_own_namespace(paths, capsys):
 
 # --- front-end text --------------------------------------------------------------
 #
-# main parses a known command's tokens with that command's parser alone; these
-# are the texts argparse printed when the top-level parser read every token.
+# main sends every command line the one-pass parse declines to the top-level
+# parser; these are the texts one argparse pass over every token prints.
 
 TOP_USAGE = """\
 usage: kstlab [-h]
@@ -500,12 +522,12 @@ def _values(action) -> tuple[list[str], list[str]]:
         return by_dest[action.dest]
     if action.choices is not None:
         return list(action.choices), ["bogus"]
-    if action.type is int:
-        return ["1", "2", "3", "0"], ["-1", "x", "2.5", ""]
+    if action.type is cli._int:
+        return ["1", "2", "3", "0"], ["-1", "x", "2.5", "", "1_0", "+3", "٣"]
     if action.type is cli._fraction:
         return ["5/6", "4/3", "2/3", "1/2", "1", "0"], ["-1/2", "x"]
     assert action.type is cli._int_list, action.dest
-    return ["4", "4,6", ","], ["x"]
+    return ["4", "4,6", ","], ["x", "4,1_0", "+4"]
 
 
 @st.composite
@@ -514,16 +536,18 @@ def command_lines(draw, name):
     repeated, in any order.  About half are well formed; the rest may also
     hold refused values, options without their value and the tokens below."""
     cmd = cli._parsers()[1][name]
-    parser_actions = cmd.actions + [  # the exclusive group's, added on its own
-        a for a in cmd.parser._actions if a.option_strings and a not in cmd.actions
-        and a.default is not argparse.SUPPRESS]
+    parser_actions = cmd.actions + list(cmd.exclusive)
     clean = draw(st.booleans())
+    # a well-formed line gives exactly one of the exclusive options
+    source = draw(st.sampled_from(cmd.exclusive)) if cmd.exclusive else None
     items = []
     for a in parser_actions:
         if a.nargs != 0:
             valid, refused = _values(a)
             value = st.sampled_from(valid if clean else valid + refused)
-        if clean:
+        if clean and a in cmd.exclusive:
+            counts = [1, 2] if a is source else [0]
+        elif clean:
             counts = [1] if not a.option_strings else [1, 2] if a.required else [0, 1, 2]
         else:
             counts = [1, 1, 1, 0, 2] if a.required else [0, 0, 1, 2]
@@ -598,6 +622,9 @@ def test_one_pass_parse_matches_argparse(name, cli_dir, data):
      "--seed", "11", "--mode", "exhaustive", "--format", "json", "--out", ""],
     ["bounds", "--eps", "1/2", "--C", "1", "--n", "5"],
     ["experiment", "--n", "8,16", "--trials", "200", "--seed", "7", "--delta", "1/2"],
+    ["build-counterexample", "--fixture", "tiny"],
+    ["build-counterexample", "--max-vertices", "50", "--graph", "h.txt", "--format",
+     "json"],
 ])
 def test_one_pass_parse_takes_well_formed_command_lines(argv):
     cmd = cli._parsers()[1][argv[0]]
@@ -619,7 +646,9 @@ def test_one_pass_parse_takes_well_formed_command_lines(argv):
     MINOR_ARGS + ["--budget"],
     ["check-minor", "g.txt", "--s", "2"],
     ["check-minor", "--s", "2", "--t", "2"],
-    ["build-counterexample", "--fixture", "tiny"],
+    ["bounds", "--eps", "1/2", "--C", "1", "--n", "1_0"],
+    ["build-counterexample", "--fixture", "tiny", "--graph", "h.txt"],
+    ["build-counterexample", "--format", "json"],
 ])
 def test_one_pass_parse_declines(argv):
     assert cli._parsers()[1][argv[0]].parse(argv[1:]) is None

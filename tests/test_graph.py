@@ -332,6 +332,20 @@ def test_edge_list_integers_are_ascii_decimal(tmp_path, capsys, text, err):
     assert capsys.readouterr() == ("", f"kstlab: error: {err}\n")
 
 
+# str.splitlines would also end a line at these; a comment holding one keeps
+# its tail, and error line numbers count LF, CRLF and lone CR ends only.
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_edge_list_lines_end_only_at_lf_crlf_and_cr(sep):
+    assert from_edge_list(f"n=3 m=1\n# a{sep}b\n0 1\n") == Graph.from_edges(3, [(0, 1)])
+    with pytest.raises(GraphFormatError) as exc:
+        from_edge_list(f"n=3 m=1\n# a{sep}b\n0 x\n")
+    assert str(exc.value) == "line 3: non-integer endpoint in '0 x'"
+    with pytest.raises(GraphFormatError) as exc:
+        from_edge_list(f"n=3 m=1\r\n# a{sep}b\r0 x\r\n")
+    assert str(exc.value) == "line 3: non-integer endpoint in '0 x'"
+
+
 def test_edge_list_integers_may_have_leading_zeros():
     assert from_edge_list("n=03 m=1\nA=00\n00 02\n") == \
         from_edge_list("n=3 m=1\nA=0\n0 2\n")
