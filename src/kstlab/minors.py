@@ -3,11 +3,13 @@
 A K_{s,t} minor of a host graph is witnessed by a branch model: s + t
 pairwise disjoint, non-empty, connected vertex sets, split into a side of s
 and a side of t, with at least one host edge between every cross pair.
-``find_kst_minor`` is an exact backtracking search over such models;
-``oracle_has_minor`` is an independent brute-force check used to validate it
-on small hosts; it enumerates branch-class assignments up to the twin
-symmetry of the pattern, one per orbit.  Witnesses are always re-verified
-before being returned.
+``find_kst_minor`` is an exact backtracking search over such models
+(``_search``); for s = 1 it enumerates connected centre sets instead
+(``_star_search``), as a K_{1,t} model is a connected set with t vertices
+next to it.  ``oracle_has_minor`` is an independent brute-force check used
+to validate both on small hosts; it enumerates branch-class assignments up
+to the twin symmetry of the pattern, one per orbit.  Witnesses are always
+re-verified before being returned.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb, factorial, prod
 
 import numpy as np
@@ -67,8 +69,11 @@ class SearchStatus(Enum):
 @dataclass(frozen=True)
 class MinorSearch:
     """Outcome of a search.  ``nodes_expanded`` is summed over the atoms
-    searched; ``atoms_searched`` counts the atoms that reached the
-    backtracking core (atoms too small to hold the minor are skipped)."""
+    searched: branch-set search nodes for s >= 2, connected centre sets
+    examined for s = 1.  ``atoms_searched`` counts the atoms that reached
+    ``_search`` or ``_star_search`` (atoms too small to hold the minor are
+    skipped; for s = 1 an atom the root bound decides at zero nodes still
+    counts)."""
 
     status: SearchStatus
     model: BranchModel | None
@@ -430,6 +435,106 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
             return MinorSearch(SearchStatus.NOT_FOUND, None, nodes, 1)
 
 
+def _star_search(g: Graph, t: int, within: int, budget: int | None) -> MinorSearch:
+    """Exact search for a K_{1,t} model in the subgraph of ``g`` induced by
+    the vertex mask ``within``, by enumerating connected centre sets.
+
+    Degrees are taken inside ``within``.  First a root bound may answer
+    NOT_FOUND at zero nodes.  Then single vertices are scanned in ascending
+    id, each one node, up to the first of degree at least t.  Then the
+    connected sets of 2 to |within| - t vertices are enumerated, each one
+    node, up to the first set C with |N(C)| >= t.  A found model is the
+    centre C and the t lowest-id vertices of N(C) as singletons; it is not
+    yet verified, ``find_kst_minor`` checks it on the host.  ``budget`` caps
+    the nodes as in ``_search``.  Asking for many leaves is the max-leaf
+    spanning tree problem, so the enumeration is exponential in the worst
+    case.
+
+    Normal form: a connected C with t vertices of N(C) outside it is a
+    K_{1,t} model with those vertices as leaf sets.  Conversely, in any
+    model each leaf set has an edge to the centre C, ending in a vertex of
+    N(C) inside that leaf set; the leaf sets are disjoint, so |N(C)| >= t.
+    So a model exists iff some connected C has |N(C)| >= t, and as N(C)
+    misses C, such a C has at most |within| - t vertices.
+
+    One visit per set (Wernicke's ESU): a set P is grown from its lowest
+    vertex r.  Its children take the vertices w of its extension in
+    ascending order; each w leaves P's extension once taken, and the child
+    P + w extends by what is left plus the neighbours of w above r outside
+    the closed neighbourhood N[P].  Every set under the child that took w
+    holds w.  Every set under a later child avoids w: w lies in N[P], so no
+    later extension gains it back.  So no set is visited twice.  Call a
+    vertex dropped at a node when an earlier sibling of the node or of one
+    of its ancestors took it.  Then every vertex of N(P) above r is in P's
+    extension or dropped.  Take a connected S with lowest vertex r that
+    holds P and no vertex dropped at P.  If S != P, some vertex of S - P is
+    next to P, so it is in P's extension; the first such vertex taken gives
+    a child that S holds, and S holds no vertex dropped at that child.  By
+    induction on |S - P|, S is visited, starting from the root {r}.
+
+    The bound: a connected C induces at least |C| - 1 edges, so at most
+    sum_{v in C} d(v) - 2(|C| - 1) = 2 + sum_{v in C} (d(v) - 2) edges
+    leave it, and |N(C)| is at most that.  Summing only the positive terms
+    over all of ``within`` bounds every C at once, so when
+    2 + sum_{d(v) > 2} (d(v) - 2) < t no centre exists.  A vertex of degree
+    at least t makes the sum at least t, so the scan that stops at such a
+    vertex never needs the rest of the sum.
+    """
+    adj = g.adj
+    excess = 0
+    for i, v in enumerate(bits(within)):
+        nb = adj[v] & within
+        d = nb.bit_count()
+        if d >= t:
+            if budget is not None and i >= budget:
+                return MinorSearch(SearchStatus.BUDGET_EXHAUSTED, None, budget, 1)
+            return _star_model(g, 1 << v, nb, t, i + 1)
+        if d > 2:
+            excess += d - 2
+    if 2 + excess < t:
+        return MinorSearch(SearchStatus.NOT_FOUND, None, 0, 1)
+    nodes = within.bit_count()
+    if budget is not None and nodes > budget:
+        return MinorSearch(SearchStatus.BUDGET_EXHAUSTED, None, budget, 1)
+    cap = nodes - t
+    if cap < 2:
+        return MinorSearch(SearchStatus.NOT_FOUND, None, nodes, 1)
+    for r in bits(within):
+        above = within & ~((2 << r) - 1)
+        nb = adj[r] & within
+        # Frames: [set, extension left, closed neighbourhood of the set, size].
+        stack = [[1 << r, nb & above, nb | 1 << r, 1]]
+        while stack:
+            frame = stack[-1]
+            ext = frame[1]
+            if not ext:
+                stack.pop()
+                continue
+            w = ext & -ext
+            ext ^= w
+            frame[1] = ext
+            if budget is not None and nodes >= budget:
+                return MinorSearch(SearchStatus.BUDGET_EXHAUSTED, None, nodes, 1)
+            nodes += 1
+            sub = frame[0] | w
+            seen = frame[2]
+            aw = adj[w.bit_length() - 1] & within
+            out = (seen | aw) & ~sub
+            if out.bit_count() >= t:
+                return _star_model(g, sub, out, t, nodes)
+            if frame[3] + 1 < cap:
+                stack.append([sub, ext | aw & above & ~seen, seen | aw, frame[3] + 1])
+    return MinorSearch(SearchStatus.NOT_FOUND, None, nodes, 1)
+
+
+def _star_model(g: Graph, centre: int, out: int, t: int, nodes: int) -> MinorSearch:
+    """The K_{1,t} model of centre set ``centre`` with the t lowest vertices
+    of its neighbourhood ``out`` as leaves."""
+    leaves = tuple(frozenset((v,)) for v in islice(bits(out), t))
+    model = BranchModel((frozenset(bits(centre)),), leaves, g)
+    return MinorSearch(SearchStatus.FOUND, model, nodes, 1)
+
+
 # --- decomposition along small clique separators -------------------------
 
 
@@ -566,16 +671,23 @@ def find_kst_minor(g: Graph, q: MinorQuery, budget: int | None = None) -> MinorS
     """Exact search for a K_{s,t} branch model in ``g``, one atom at a time.
 
     ``g`` is split into atoms along clique separators of order less than s
-    (see ``kst_atoms``) and the backtracking core runs inside each atom in
-    turn.  An atom with fewer than s + t vertices or fewer than s * t edges
-    cannot hold the minor and is skipped at zero nodes.  ``budget`` caps the
-    node expansions summed over all atoms; exceeding it yields
-    BUDGET_EXHAUSTED, and a budget below 1 raises ValueError.  A found model
-    is re-verified on ``g``, and a model that fails raises RuntimeError.
-    Inside an atom, ``_search`` branches fail-first (fewest candidate sets,
-    then highest degree in the atom, then lowest id) and opens new branch
-    sets before joining existing ones; its docstring argues why that order
-    keeps the search complete.
+    (see ``kst_atoms``) and each atom is searched in turn.  An atom with
+    fewer than s + t vertices or fewer than s * t edges cannot hold the
+    minor and is skipped at zero nodes.  ``budget`` caps the nodes summed
+    over all atoms; exceeding it yields BUDGET_EXHAUSTED, and a budget below
+    1 raises ValueError.  A found model is re-verified on ``g``, and a model
+    that fails raises RuntimeError.
+
+    For s >= 2, ``_search`` backtracks over branch sets inside an atom: it
+    branches fail-first (fewest candidate sets, then highest degree in the
+    atom, then lowest id) and opens new branch sets before joining existing
+    ones; its docstring argues why that order keeps the search complete.
+    For s = 1 the atoms are the components and ``_star_search`` enumerates
+    connected centre sets C, each once, until |N(C)| >= t; a node is one
+    set examined, and the model is C with the t lowest-id vertices of N(C)
+    as singleton leaves.  A root bound on the degrees decides some atoms at
+    zero nodes; its docstring argues the normal form, the single visit per
+    set and the bound.
 
     Soundness: K_{s,t} with s <= t is s-connected.  Let S be a clique
     separator of g with |S| < s, so that g = G1 u G2 with G1 n G2 = S, and
@@ -599,9 +711,12 @@ def find_kst_minor(g: Graph, q: MinorQuery, budget: int | None = None) -> MinorS
     adj = g.adj
     nodes = searched = 0
     for m in _atom_masks(adj, g.n, s):
-        if m.bit_count() < k or sum((adj[v] & m).bit_count() for v in bits(m)) < 2 * s * t:
+        # For s = 1 an atom is connected, so t + 1 vertices bring t edges.
+        if m.bit_count() < k or (
+                s > 1 and sum((adj[v] & m).bit_count() for v in bits(m)) < 2 * s * t):
             continue
-        res = _search(g, q, m, None if budget is None else budget - nodes)
+        left = None if budget is None else budget - nodes
+        res = _star_search(g, t, m, left) if s == 1 else _search(g, q, m, left)
         nodes += res.nodes_expanded
         searched += 1
         if res.status is SearchStatus.BUDGET_EXHAUSTED:

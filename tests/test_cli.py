@@ -730,7 +730,8 @@ def test_experiment_human_lines(capsys):
 
 def test_readme_check_minor_examples_match_the_cli(paths, tmp_path, capsys):
     # The README shows check-minor's human line on the Petersen graph and on
-    # the glued tiny assembly; node counts there must follow the search.
+    # the glued tiny assembly; node counts there must follow the search
+    # (for K_{1,7}, the centre sets enumerated).
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     documented = [line.removeprefix("#").strip() for line in readme.splitlines()
                   if line.startswith("#   check-minor ")]
@@ -741,7 +742,8 @@ def test_readme_check_minor_examples_match_the_cli(paths, tmp_path, capsys):
     tiny.write_text(json.dumps(json.loads(report.read_text())["result"]["graph"]))
     capsys.readouterr()
     printed = []
-    for graph, s, t in [(paths / "petersen.txt", 3, 3), (tiny, 3, 3), (tiny, 2, 3)]:
+    for graph, s, t in [(paths / "petersen.txt", 3, 3), (tiny, 3, 3), (tiny, 2, 3),
+                        (paths / "petersen.txt", 1, 7)]:
         main(["check-minor", str(graph), "--s", str(s), "--t", str(t)])
         printed.append(capsys.readouterr().out.splitlines()[0])
     assert printed == documented

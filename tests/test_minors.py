@@ -37,6 +37,7 @@ from kstlab.graph import (
     empty,
     glue,
     induced_subgraph,
+    mask_of,
     path,
     permuted,
     petersen,
@@ -47,6 +48,7 @@ from kstlab.minors import (
     MinorSearch,
     SearchStatus,
     _search,
+    _star_search,
     find_kst_minor,
     kst_atoms,
     model_violation,
@@ -709,11 +711,12 @@ def test_atoms_agree_with_whole_host_core_on_clique_glues(g1, g2, data):
 
 
 def test_long_path_has_k12_without_recursion():
-    # 1500 vertices is past the default recursion limit of 1000, and the
-    # path is one component, so s = 1 searches it whole.
+    # 1500 vertices is past the default recursion limit of 1000.  The
+    # general search is called directly: find_kst_minor sends s = 1 to
+    # _star_search, which answers this at the second vertex.
     g = path(1500)
     q = MinorQuery(1, 2)
-    res = find_kst_minor(g, q)
+    res = _search(g, q, g.vertex_mask(), None)
     assert res.status is SearchStatus.FOUND
     assert res.nodes_expanded == 2996
     assert model_violation(g, res.model, q) is None
@@ -735,7 +738,8 @@ def test_long_path_closure_work_stays_linear(monkeypatch):
     monkeypatch.setattr(minors, "closure", counted(closure, int.bit_count))
     monkeypatch.setattr(minors, "closure_nbr",
                         counted(closure_nbr, lambda out: out[0].bit_count()))
-    res = find_kst_minor(path(1500), MinorQuery(1, 2))
+    g = path(1500)
+    res = _search(g, MinorQuery(1, 2), g.vertex_mask(), None)
     assert res.status is SearchStatus.FOUND
     assert res.nodes_expanded == 2996
     assert computed and sum(computed) <= 20_000
@@ -764,23 +768,28 @@ def test_tiny_assemblies_answer_within_a_small_budget(copies, s, t):
 
 def test_invalid_model_raises_under_python_dash_o():
     # The re-verification of a found model must not be an assert, which
-    # ``python -O`` strips.
+    # ``python -O`` strips.  Both procedures are patched: _search answers
+    # s >= 2 and _star_search answers s = 1.
     script = textwrap.dedent("""
         import sys
         from kstlab import minors
         from kstlab.graph import cycle
 
-        def bogus(g, q, within, budget):
-            model = minors.BranchModel((frozenset({0}),), (frozenset({2}),), g)
+        def found(g, side1, side2):
+            model = minors.BranchModel(tuple(frozenset({v}) for v in side1),
+                                       tuple(frozenset({v}) for v in side2), g)
             return minors.MinorSearch(minors.SearchStatus.FOUND, model, 1, 1)
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
-        minors._search = bogus
-        try:
-            minors.find_kst_minor(cycle(4), minors.MinorQuery(1, 1))
-        except RuntimeError as exc:
-            print("raised:", exc)
+        # In C4 = 0-1-2-3-0, 0 and 2 are not adjacent.
+        minors._search = lambda g, q, within, budget: found(g, (0, 1), (2, 3))
+        minors._star_search = lambda g, t, within, budget: found(g, (0,), (2,))
+        for q in (minors.MinorQuery(2, 2), minors.MinorQuery(1, 1)):
+            try:
+                minors.find_kst_minor(cycle(4), q)
+            except RuntimeError as exc:
+                print("raised:", exc)
     """)
     env = dict(os.environ)
     src_dir = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -788,7 +797,120 @@ def test_invalid_model_raises_under_python_dash_o():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: search produced an invalid model")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    assert all(line.startswith("raised: search produced an invalid model") for line in lines)
+
+
+# --- K_{1,t}: connected centre sets ----------------------------------------
+
+
+def _check_star(g, t, res):
+    q = MinorQuery(1, t)
+    assert res.status is not SearchStatus.BUDGET_EXHAUSTED
+    if res.status is SearchStatus.FOUND:
+        assert model_violation(g, res.model, q) is None
+        (centre,) = res.model.side1
+        out = 0
+        for v in centre:
+            out |= g.adj[v]
+        out &= ~mask_of(centre)
+        # the leaves are the t lowest vertices next to the centre
+        assert [min(leaf) for leaf in res.model.side2] == list(bits(out))[:t]
+        assert all(len(leaf) == 1 for leaf in res.model.side2)
+
+
+@settings(max_examples=150)
+@given(graphs(min_n=1, max_n=9), st.data())
+def test_star_search_agrees_with_oracle(g, data):
+    t = data.draw(st.integers(1, max(1, g.n - 1)))
+    res = _star_search(g, t, g.vertex_mask(), None)
+    _check_star(g, t, res)
+    assert (res.status is SearchStatus.FOUND) == oracle_has_minor(g, complete_bipartite(1, t))
+
+
+def _random_host(rng, n):
+    p = rng.random()
+    return Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < p])
+
+
+def test_star_search_agrees_with_general_search_on_seeded_hosts():
+    rng = np.random.default_rng(26)
+    for _ in range(150):
+        g = _random_host(rng, int(rng.integers(1, 15)))
+        for t in range(1, g.n):
+            q = MinorQuery(1, t)
+            got = find_kst_minor(g, q)
+            _check_star(g, t, got)
+            want = _search(g, q, g.vertex_mask(), None)
+            assert got.status is want.status, (g.adj, t)
+
+
+def _connected_sets(g, within, lo, hi):
+    vs = list(bits(within))
+    return sum(1 for size in range(lo, hi + 1) for c in itertools.combinations(vs, size)
+               if closure(g.adj, 1 << c[0], mask_of(c)) == mask_of(c))
+
+
+def test_star_search_not_found_visits_every_centre_once():
+    # Below the root bound nothing is visited; above it, a NOT_FOUND search
+    # visits every vertex and every connected set of 2..|atom| - t vertices
+    # exactly once.
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(200):
+        g = _random_host(rng, int(rng.integers(2, 11)))
+        within = g.vertex_mask()
+        bound = 2 + sum(d - 2 for d in map(int.bit_count, g.adj) if d > 2)
+        for t in range(1, g.n):
+            res = _star_search(g, t, within, None)
+            if res.status is not SearchStatus.NOT_FOUND:
+                continue
+            if bound < t:
+                assert res.nodes_expanded == 0
+                continue
+            checked += 1
+            assert res.nodes_expanded == g.n + _connected_sets(g, within, 2, g.n - t), (g.adj, t)
+    assert checked >= 50
+
+
+def test_star_search_budget():
+    g = petersen()
+    full = _star_search(g, 7, g.vertex_mask(), None)
+    assert (full.status, full.nodes_expanded) == (SearchStatus.NOT_FOUND, 55)
+    for budget in (1, 9, 10, 11, 54):
+        short = _star_search(g, 7, g.vertex_mask(), budget)
+        assert (short.status, short.nodes_expanded) == (SearchStatus.BUDGET_EXHAUSTED, budget)
+    assert _star_search(g, 7, g.vertex_mask(), 55) == full
+    # the first vertex of a path has degree 1, the second is a K_{1,2} centre
+    p = path(1200)
+    assert _star_search(p, 2, p.vertex_mask(), 1).status is SearchStatus.BUDGET_EXHAUSTED
+    assert _star_search(p, 2, p.vertex_mask(), 2).status is SearchStatus.FOUND
+
+
+@pytest.mark.parametrize("g", [path(300), cycle(300), path(1500)], ids=["P300", "C300", "P1500"])
+def test_star_root_bound_decides_long_paths_and_cycles(g):
+    # Degrees are at most 2, so no connected set has more than 2 neighbours.
+    res = find_kst_minor(g, MinorQuery(1, 3))
+    assert (res.status, res.nodes_expanded, res.atoms_searched) == (SearchStatus.NOT_FOUND, 0, 1)
+
+
+def test_public_api_answers_k1t_by_centre_sets():
+    g = path(1200)
+    q = MinorQuery(1, 2)
+    res = find_kst_minor(g, q)
+    assert (res.status, res.nodes_expanded, res.atoms_searched) == (SearchStatus.FOUND, 2, 1)
+    assert res.model.to_json_dict() == {"side1": [[1]], "side2": [[0], [2]]}
+    assert model_violation(g, res.model, q) is None
+    # Petersen is 3-regular with girth 5: a centre of at most 3 vertices
+    # has at most 5 neighbours, and 4 vertices would leave only 6 outside.
+    pet = find_kst_minor(petersen(), MinorQuery(1, 7))
+    assert (pet.status, pet.nodes_expanded) == (SearchStatus.NOT_FOUND, 55)
+    six = find_kst_minor(petersen(), MinorQuery(1, 6))
+    assert six.status is SearchStatus.FOUND
+    assert [len(c) for c in six.model.side1] == [4]
+    assert model_violation(petersen(), six.model, MinorQuery(1, 6)) is None
 
 
 # --- identical tree against the search that recomputes every closure --------
