@@ -665,7 +665,7 @@ def main(argv=None) -> int:
             _emit(args, {"refused": str(exc)},
                   lambda: [f"{args.command}: refused: {exc}"])
             return EXIT_LIMIT
-    except (OSError, ValueError, KeyError, gr.GraphFormatError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"kstlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

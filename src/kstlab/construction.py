@@ -60,6 +60,11 @@ def _floor(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
+def _n_too_large(n: int) -> ValueError:
+    """The usage error for an n whose float arithmetic overflows."""
+    return ValueError(f"n >= 2**{n.bit_length() - 1} is too large for float arithmetic")
+
+
 # enumeration nodes the exhaustive block-property check may visit
 _BLOCK_NODE_CAP = 2_000_000
 # trials seeded at once by the degree sweep (a power of two, so no block
@@ -117,7 +122,10 @@ class GadgetParams:
         return cls(epsilon, c_const, f, delta)
 
     def edge_probability(self, n: int) -> float:
-        return float(n) ** (-float(self.delta))
+        try:
+            return float(n) ** (-float(self.delta))
+        except OverflowError:
+            raise _n_too_large(n) from None
 
 
 # --- sampling and the two structural properties --------------------------
@@ -238,13 +246,11 @@ def _seed_block(seed: int, n: int, lo: int, hi: int) -> tuple[list[int], list[di
 
 
 def _side_a(n: int, params: GadgetParams) -> int:
-    """floor(C*n), the A-side size of a draw with n B-vertices."""
+    """floor(C*n), the A-side size of a draw with n B-vertices; C >= 1, so
+    it is at least n."""
     if n < 1:
         raise ValueError("n must be positive")
-    ma = _floor(params.c_const * n)
-    if ma < 1:
-        raise ValueError("floor(C*n) must be positive")
-    return ma
+    return _floor(params.c_const * n)
 
 
 def _draw(ma: int, n: int, p: float, seed: int) -> np.ndarray:
@@ -491,8 +497,11 @@ def block_failure_exponent(n: int, epsilon, c_const, max_block_size: int, delta)
     f = max_block_size
     if n < 1:
         raise ValueError(f"failure exponents need n >= 1, got n={n}")
-    return math.log((c + 1) * n + 1) * (c + 1) * n \
-        - epsilon ** 2 * float(n) ** (2 - f * f * d)
+    try:
+        return math.log((c + 1) * n + 1) * (c + 1) * n \
+            - epsilon ** 2 * float(n) ** (2 - f * f * d)
+    except OverflowError:
+        raise _n_too_large(n) from None
 
 
 def degree_failure_exponent(n: int, c_const, delta) -> float:
@@ -502,7 +511,10 @@ def degree_failure_exponent(n: int, c_const, delta) -> float:
     d = float(_frac(delta))
     if n < 1:
         raise ValueError(f"failure exponents need n >= 1, got n={n}")
-    return math.log((c + 1) * n) - float(n) ** (1 - d) / 3
+    try:
+        return math.log((c + 1) * n) - float(n) ** (1 - d) / 3
+    except OverflowError:
+        raise _n_too_large(n) from None
 
 
 # --- gadget construction ---------------------------------------------------
@@ -750,10 +762,8 @@ def build_counterexample(
             adj[j] |= back[j] << start
         for cross, inside, missing in templates:
             adj.append(cross | inside << start)
-            lst = full_list.difference([c[j] for j in missing]) if missing else full_list
-            if len(lst) < palette_size - len(missing):
-                raise RuntimeError(f"list of glued vertex {at} punched too far")
-            lists.append(lst)
+            lists.append(full_list.difference([c[j] for j in missing])
+                         if missing else full_list)
             at += 1
         ranges.append((start, at))
 

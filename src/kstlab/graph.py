@@ -76,6 +76,15 @@ def closure_nbr(adj, seed: int, allowed: int) -> tuple[int, int]:
     return reach, nbr
 
 
+def components(adj, mask: int) -> Iterator[int]:
+    """The vertex masks of the connected components of the subgraph that
+    ``mask`` induces, in ascending order of their lowest vertex."""
+    while mask:
+        comp = closure(adj, mask & -mask, mask)
+        yield comp
+        mask ^= comp
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite simple graph: no loops, no parallel edges, undirected."""
@@ -135,9 +144,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.adj[v]))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         # Inline bit loop: every graph a report prints is walked here.
@@ -445,17 +451,27 @@ def from_json_dict(data: dict) -> Graph:
         raise GraphFormatError("vertex_count must be non-negative")
     if not isinstance(edges, list):
         raise GraphFormatError("edges must be a list of vertex pairs")
-    pairs = []
+    adj = [0] * n
     for i, e in enumerate(edges):
         if not (isinstance(e, (list, tuple)) and len(e) == 2):
             raise GraphFormatError(f"edge entry {i} is not a pair")
         u, v = e
         if type(u) is not int or type(v) is not int:
             raise GraphFormatError(f"edge entry {i} is not a pair of integers")
-        pairs.append((u, v))
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"edge entry {i}: edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise GraphFormatError(f"edge entry {i}: loop at vertex {u} rejected")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     if labels is not None and not isinstance(labels, list):
         raise GraphFormatError("labels must be a list")
-    return Graph.from_edges(n, pairs, labels)
+    try:
+        return Graph(n, tuple(adj), None if labels is None else tuple(labels))
+    except ValueError as exc:
+        # the rows are valid by construction, so the labels were refused;
+        # the message names the vertex, which is the labels entry
+        raise GraphFormatError(str(exc)) from None
 
 
 def serialize(g: Graph, fmt: str = "edge-list") -> str:

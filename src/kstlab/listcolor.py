@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .graph import Graph, bits, closure
+from .graph import Graph, bits, components
 
 
 @dataclass(frozen=True)
@@ -296,10 +296,7 @@ def _two_choosable_core(g: Graph, mask: int) -> bool:
     degree 3, so no other component passes.
     """
     adj = g.adj
-    rest = mask
-    while rest:
-        comp = closure(adj, rest & -rest, mask)
-        rest ^= comp
+    for comp in components(adj, mask):
         nv = comp.bit_count()
         ends = []
         degree_sum = 0
@@ -337,14 +334,13 @@ def _colorable(lists: list[int], vbits: list[int], earlier: list[int], width: in
     """True iff each position j can take a color of ``lists[j]`` (a color
     mask below ``width``) with no two adjacent positions alike.
 
-    Position j is the vertex ``vbits[j]`` and ``earlier[j]`` is the mask of
-    its neighbors at lower positions.  Backtracks in position order, trying
-    colors ascending; ``classes[c]`` is the mask of vertices holding color
-    c, so color c fits j iff its class misses ``earlier[j]``.
+    There is at least one position.  Position j is the vertex ``vbits[j]``
+    and ``earlier[j]`` is the mask of its neighbors at lower positions.
+    Backtracks in position order, trying colors ascending; ``classes[c]`` is
+    the mask of vertices holding color c, so color c fits j iff its class
+    misses ``earlier[j]``.
     """
     n = len(lists)
-    if not n:
-        return True
     classes = [0] * width
     left = [0] * n  # colors of each position not yet tried
     held = [0] * n
@@ -376,7 +372,9 @@ def _colorable(lists: list[int], vbits: list[int], earlier: list[int], width: in
 def _bad_assignment_on(g: Graph, mask: int, k: int
                        ) -> tuple[dict[int, frozenset[int]] | None, int]:
     """Search induced subgraph g[mask] for a bad k-assignment in which every
-    color appears in at least two lists.
+    color appears in at least two lists.  ``mask`` is a non-empty k-core
+    with k >= 1, so each of its vertices has a neighbor in it: it has at
+    least two vertices, and the last one has predecessors to search over.
 
     Lists go to the vertices of ``mask`` in ascending order and are
     enumerated in canonical first-use color order, which covers at least one
@@ -441,8 +439,6 @@ def _bad_assignment_on(g: Graph, mask: int, k: int
             for old in _subsets(low, k - new):
                 yield old | fresh, used + new, (ones & ~old) | fresh
 
-    if last == 0:
-        return decide(0, 0), leaves
     # Depth-first over the vertices in order, one child iterator per vertex
     # placed so far; stack[i] yields the lists of vertex i.
     stack = [children(0, 0)]

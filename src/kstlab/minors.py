@@ -22,7 +22,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .graph import Graph, bits, closure, closure_nbr, mask_of
+from .graph import Graph, bits, closure, closure_nbr, components, mask_of
 
 
 @dataclass(frozen=True)
@@ -538,15 +538,6 @@ def _star_model(g: Graph, centre: int, out: int, t: int, nodes: int) -> MinorSea
 # --- decomposition along small clique separators -------------------------
 
 
-def _components(adj, mask: int) -> list[int]:
-    out = []
-    while mask:
-        comp = closure(adj, mask & -mask, mask)
-        out.append(comp)
-        mask &= ~comp
-    return out
-
-
 def _blocks(adj, n: int) -> list[int]:
     """Blocks (maximal 2-connected subgraphs, bridges and isolated vertices)
     as vertex masks: Hopcroft-Tarjan with an explicit stack, so depth is not
@@ -614,7 +605,7 @@ def _split_at_edges(adj, block: int) -> list[int]:
             continue
         pair = _separating_edge(adj, m)
         if pair:
-            todo += [c | pair for c in _components(adj, m & ~pair)]
+            todo += [c | pair for c in components(adj, m & ~pair)]
         else:
             out.append(m)
     return out
@@ -634,7 +625,7 @@ def _separating_edge(adj, m: int) -> int:
 
 def _atom_masks(adj, n: int, s: int) -> list[int]:
     if s == 1:
-        atoms = _components(adj, (1 << n) - 1)
+        atoms = components(adj, (1 << n) - 1)
     else:
         # 2 * min degree >= n >= 3: the host is 2-connected, one block
         if n >= 3 and 2 * min(a.bit_count() for a in adj) >= n:

@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import shlex
 from fractions import Fraction
 from pathlib import Path
@@ -147,6 +148,7 @@ def test_usage_errors_exit_above_two(paths, capsys):
     assert main(sweep + ["--n", "4", "--trials", "-1"]) == 3
     assert main(sweep + ["--n", "4", "--trials", "0"]) == 3
     assert main(sweep + ["--n", ",", "--trials", "5"]) == 3
+    assert main(sweep + ["--n", "4,0", "--trials", "5"]) == 3
     # no option selects or tunes a sampled block check
     assert main(sweep + ["--n", "4", "--trials", "5", "--block-trials", "5"]) == 3
     assert main(["bounds", "--eps", "1/2", "--C", "1", "--n", "0"]) == 3
@@ -291,6 +293,8 @@ GRAPH_FILES = [
      "kstlab: error: invalid JSON at position 75: Expecting value\n", None),
     ("json-cr-error", _cr(C4_JSON.replace(b"null", b"nul")), 3,
      "kstlab: error: invalid JSON at position 75: Expecting value\n", None),
+    ("json-edge-out-of-range", b'{"vertex_count": 2, "edges": [[0, 5]]}', 3,
+     "kstlab: error: edge entry 0: edge (0,5) out of range for n=2\n", None),
 ]
 
 LIST_FILES = [
@@ -350,13 +354,61 @@ def test_missing_or_directory_input_is_a_usage_error(tmp_path, capsys):
 def test_internal_error_is_not_an_answer(paths, capsys, monkeypatch):
     import kstlab.minors as mn
 
-    def crash(*args, **kwargs):
-        raise RecursionError("maximum recursion depth exceeded")
+    # no usage path raises KeyError, so one that escapes a handler is a fault
+    for exc in (RecursionError("maximum recursion depth exceeded"), KeyError("no such key")):
+        def crash(*args, exc=exc, **kwargs):
+            raise exc
 
-    monkeypatch.setattr(mn, "find_kst_minor", crash)
+        monkeypatch.setattr(mn, "find_kst_minor", crash)
+        assert main(["check-minor", str(paths / "c4.txt"), "--s", "2", "--t", "2"]) == 4
+        assert capsys.readouterr().err == f"kstlab: internal error: {exc!r}\n"
+
+
+def test_invalid_search_model_is_an_internal_error(paths, capsys, monkeypatch):
+    # find_kst_minor re-verifies every model, so a search that returns a bad
+    # one is a fault (4), never a yes
+    import kstlab.minors as mn
+
+    def bad_search(g, q, mask, budget):
+        model = BranchModel((frozenset({0}), frozenset({1})),
+                            (frozenset({2}), frozenset({3})), g)
+        return mn.MinorSearch(mn.SearchStatus.FOUND, model, 1, 1)
+
+    monkeypatch.setattr(mn, "_search", bad_search)
     assert main(["check-minor", str(paths / "c4.txt"), "--s", "2", "--t", "2"]) == 4
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "RecursionError" in err
+    assert err.startswith("kstlab: internal error: RuntimeError('search produced an "
+                          "invalid model: ") and err.count("\n") == 1
+
+
+# n meets float arithmetic in the edge probability and the failure exponents;
+# an n whose float overflows is a usage error naming n, not a fault.
+N200, N400 = "1" + "0" * 200, "1" + "0" * 399
+TOO_LARGE = "kstlab: error: n >= 2**%d is too large for float arithmetic\n"
+
+
+@pytest.mark.parametrize("argv, bits", [
+    (["bounds", "--eps", "1/2", "--C", "1", "--n", N200], 664),
+    (["bounds", "--eps", "1/2", "--C", "1", "--n", N400], 1325),
+    (["build-h", "--n", N400, "--m", N400, "--eps", "1/2", "--C", "1", "--seed", "1"], 1325),
+    (["experiment", "--n", N400, "--trials", "1", "--seed", "1"], 1325),
+])
+def test_oversized_n_is_a_usage_error(capsys, argv, bits):
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", TOO_LARGE % bits)
+
+
+# runpy warns that kstlab.cli is already imported before it runs it again
+@pytest.mark.filterwarnings("ignore:'kstlab.cli' found in sys.modules:RuntimeWarning")
+@pytest.mark.parametrize("module", ["kstlab", "kstlab.cli"])
+def test_python_dash_m_reads_sys_argv(capsys, monkeypatch, module):
+    # what ``python -m kstlab bounds ...`` (or ``-m kstlab.cli``) runs, in this process
+    monkeypatch.setattr("sys.argv", ["kstlab", "bounds", "--eps", "1/2", "--C", "1",
+                                     "--n", "10"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module(module, run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("params: eps=1/2 C=1 f=2 delta=1/16\n")
 
 
 def test_check_lcolor_on_the_empty_graph(tmp_path, capsys):

@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import re
 from fractions import Fraction as F
 
 import mpmath
@@ -105,12 +106,29 @@ def test_params_validation():
         GadgetParams(F(1, 2), F(1), 2, F(1, 2))     # f^2 * delta = 2 >= 1
     with pytest.raises(TypeError):
         GadgetParams(0.5, 1, 1, 0.25)               # floats rejected
+    # ints and rational strings are read exactly
+    assert GadgetParams(F(1, 2), 1, 1, "1/2") == GadgetParams(F(1, 2), F(1), 1, F(1, 2))
 
 
 def test_edge_probability_closed_form():
     p = GadgetParams(F(1, 2), F(1), 2, F(1, 16))
     # 256^(-1/16) = 2^(-1/2)
     assert p.edge_probability(256) == pytest.approx(2 ** -0.5, rel=1e-15)
+
+
+def test_float_overflow_in_n_is_a_value_error_naming_n():
+    p = GadgetParams(F(1, 2), F(1), 2, F(1, 16))
+    past_float = 10 ** 400            # float(10**400) overflows
+    err = "^n >= 2\\*\\*1328 is too large for float arithmetic$"
+    with pytest.raises(ValueError, match=err):
+        p.edge_probability(past_float)
+    with pytest.raises(ValueError, match=err):
+        block_failure_exponent(past_float, F(1, 2), F(1), 2, F(1, 16))
+    with pytest.raises(ValueError, match=err):
+        degree_failure_exponent(past_float, F(1), F(1, 16))
+    # 10**200 is a float, but n**(2 - f*f*delta) is not
+    with pytest.raises(ValueError, match="^n >= 2\\*\\*664 is too large"):
+        block_failure_exponent(10 ** 200, F(1, 2), F(1), 2, F(1, 16))
 
 
 # --- sampling ----------------------------------------------------------------
@@ -145,6 +163,7 @@ def test_sample_determinism_and_seed_sensitivity():
 def test_degree_property_edgeless_passes():
     check = check_degree_property(empty(6), F(1, 100), 3)
     assert check.passed and check.max_degree == 0
+    assert check_degree_property(empty(0), F(1, 2), 1) == DegreeCheck(True, 0, None)
     # K_{3,3} has degree 3 > eps*n = 1.5
     assert not check_degree_property(complete_bipartite(3, 3), F(1, 2), 3).passed
 
@@ -165,6 +184,14 @@ def test_block_property_complete_bipartite_verified():
     g = complete_bipartite(4, 4)
     check = check_block_property(g, 1, F(1, 2), 4)
     assert check.status == "verified"
+
+
+def test_block_property_rejects_empty_or_oversized_collections():
+    g = complete_bipartite(4, 4)
+    with pytest.raises(ValueError, match="^ceil\\(epsilon \\* n\\) must be at least 1$"):
+        check_block_property(g, 1, F(1, 2), 0)
+    with pytest.raises(ValueError, match="^sides too small for the requested collection size$"):
+        check_block_property(g, 1, F(1, 2), 10)      # k = 5 > 4
 
 
 def test_block_property_edgeless_falsified_with_witness():
@@ -757,6 +784,14 @@ def test_assembly_rejects_unlabeled_graph():
     from kstlab.graph import complete
     with pytest.raises(ValueError):
         build_counterexample(complete(4), 3, "all")
+    with pytest.raises(ValueError, match="^gadget needs non-empty A and B parts$"):
+        build_counterexample(clique_gadget(3, 0), 2, "all")
+
+
+def test_assembly_rejects_bad_explicit_colorings():
+    for c in [(0,), (0, 3), (-1, 0)]:
+        with pytest.raises(ValueError, match=f"^bad B-coloring {re.escape(str(c))}$"):
+            build_counterexample(tiny_gadget(), 3, [(0, 1), c])
 
 
 def _assembly_reference(h, palette_size, colorings):
@@ -985,6 +1020,15 @@ def test_lower_bound_small_s_honest():
     # below s = ceil(4/eps) the final inequality may fail; report honestly
     lb = choosability_lower_bound(2, 2, F(2, 5))
     assert lb.holds == (lb.value > lb.target)
+
+
+def test_lower_bound_rejects_out_of_range_arguments():
+    for eps in (F(0), F(1, 2)):
+        with pytest.raises(ValueError, match="^epsilon must lie in \\(0, 1/2\\)$"):
+            choosability_lower_bound(2, 2, eps)
+    for s, t in ((0, 2), (3, 2)):
+        with pytest.raises(ValueError, match="^require 1 <= s <= t$"):
+            choosability_lower_bound(s, t, F(2, 5))
 
 
 def test_lower_bound_ratio_approaches_limit():

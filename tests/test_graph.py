@@ -21,6 +21,7 @@ from kstlab.graph import (
     GlueSpec,
     bits,
     closure,
+    components,
     complement,
     complete,
     complete_bipartite,
@@ -89,6 +90,24 @@ def test_graph_validation_rejects_loops_and_asymmetry():
         Graph(2, (0, 0), ("A",))  # label arity mismatch
     with pytest.raises(ValueError):
         Graph(1, (0,), ("X",))  # unknown label value
+    for n, adj in ((2, (0,)), (-1, ())):
+        with pytest.raises(ValueError, match="^adjacency length must equal vertex count$"):
+            Graph(n, adj, None)
+
+
+@pytest.mark.parametrize("call, err", [
+    (lambda: Graph.from_edges(2, [(0, 2)]), "edge (0,2) out of range for n=2"),
+    (lambda: Graph.from_edges(2, [(-1, 0)]), "edge (-1,0) out of range for n=2"),
+    (lambda: Graph.from_edges(2, [(1, 1)]), "loop at vertex 1 rejected"),
+    (lambda: cycle(2), "cycle needs at least 3 vertices"),
+    (lambda: induced_subgraph(path(3), [0, 3]), "vertex 3 out of range"),
+    (lambda: permuted(path(3), (0, 1, 1)), "perm must be a permutation of range(n)"),
+    (lambda: serialize(path(3), "dot"), "unknown graph format 'dot'"),
+])
+def test_constructors_and_operations_reject_bad_arguments(call, err):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == err
 
 
 def test_from_edges_builds_symmetric_adjacency():
@@ -112,6 +131,9 @@ def test_closure_stays_inside_allowed():
     # {0, 2} is not connected in P_5, {1, 2, 3} is
     assert closure(g.adj, 0b1, 0b101) != 0b101
     assert closure(g.adj, 0b10, 0b1110) == 0b1110
+    # components come lowest vertex first
+    assert list(components(g.adj, 0b11011)) == [0b11, 0b11000]
+    assert list(components(g.adj, 0)) == []
 
 
 @given(graphs(max_n=9), st.data())
@@ -230,6 +252,11 @@ def test_glue_rejects_duplicate_interface_vertices():
 def test_glue_rejects_out_of_range():
     with pytest.raises(CliqueGlueError):
         GlueSpec(complete(3), complete(3), ((0, 5),)).validate()
+    with pytest.raises(CliqueGlueError, match="^shared vertex 3 out of range in g1$"):
+        GlueSpec(complete(3), complete(3), ((3, 0),)).validate()
+    with pytest.raises(CliqueGlueError,
+                       match="^shared vertices do not form a clique in g2$"):
+        GlueSpec(complete(3), path(3), ((0, 0), (1, 2))).validate()
 
 
 @given(st.data())
@@ -299,6 +326,10 @@ def test_edge_list_error_reports_line_numbers():
         from_edge_list("n=3 m=2\n0 1\n")
     with pytest.raises(GraphFormatError):
         from_edge_list("nonsense\n")
+    with pytest.raises(GraphFormatError, match="^line 1: missing 'n=<int> m=<int>' header$"):
+        from_edge_list("# no header\n\n")
+    with pytest.raises(GraphFormatError, match="^line 3: loop at vertex 1 rejected$"):
+        from_edge_list("n=3 m=2\n0 1\n1 1\n")
 
 
 # int() alone would read these: '_' between digits, a '+' sign, an
@@ -372,6 +403,28 @@ def test_json_rejects_bool_counts_and_non_list_labels():
         from_json_dict({"vertex_count": -1, "edges": []})
     with pytest.raises(GraphFormatError, match="labels"):
         from_json_dict({"vertex_count": 2, "edges": [], "labels": 5})
+    with pytest.raises(GraphFormatError, match="^graph JSON missing field: 'vertex_count'$"):
+        from_json_dict({"edges": []})
+
+
+# JSON errors name the edge entry (or, for labels, the vertex), as edge-list
+# errors name the line.
+@pytest.mark.parametrize("data, err", [
+    ({"vertex_count": 2, "edges": [[0, 5]]}, "edge entry 0: edge (0,5) out of range for n=2"),
+    ({"vertex_count": 2, "edges": [[0, 1], [-1, 0]]},
+     "edge entry 1: edge (-1,0) out of range for n=2"),
+    ({"vertex_count": 3, "edges": [[0, 1], [2, 2]]}, "edge entry 1: loop at vertex 2 rejected"),
+    ({"vertex_count": 3, "edges": [[0, 1], [2]]}, "edge entry 1 is not a pair"),
+    ({"vertex_count": 3, "edges": [[0, 1], [2, "0"]]},
+     "edge entry 1 is not a pair of integers"),
+    ({"vertex_count": 2, "edges": [], "labels": ["A"]}, "labels length must equal vertex count"),
+    ({"vertex_count": 2, "edges": [], "labels": ["A", "C"]},
+     "vertex 1 has label 'C', expected 'A' or 'B'"),
+])
+def test_json_errors_name_their_entry(data, err):
+    with pytest.raises(GraphFormatError) as exc:
+        from_json_dict(data)
+    assert str(exc.value) == err
 
 
 def test_json_format_version_present():

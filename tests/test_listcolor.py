@@ -119,6 +119,11 @@ def test_find_l_coloring_empty_graph():
     assert find_l_coloring(empty(0), ListAssignment(())) == ()
 
 
+def test_find_l_coloring_rejects_a_list_count_mismatch():
+    with pytest.raises(ValueError, match="^assignment length differs from vertex count$"):
+        find_l_coloring(path(2), ListAssignment.of_lists([[0]]))
+
+
 def test_find_l_coloring_is_deterministic():
     g = cycle(5)
     lists = uniform_lists(5, [0, 1, 2])

@@ -33,6 +33,7 @@ from kstlab.graph import (
     closure_nbr,
     complete,
     complete_bipartite,
+    components,
     cycle,
     empty,
     glue,
@@ -82,6 +83,8 @@ def test_model_violation_detects_each_clause():
 
     wrong_count = _bm(g, [(0,)], [(1,), (3,)])
     assert model_violation(g, wrong_count, q) is not None
+    wrong_t = _bm(g, [(0,), (2,)], [(1,)])
+    assert model_violation(g, wrong_t, q) == "side2 has 1 sets, query wants t=2"
 
     overlap = _bm(g, [(0,), (0, 1)], [(1,), (3,)])
     assert model_violation(g, overlap, q) is not None
@@ -571,7 +574,7 @@ def _atoms_scanned(g, s):
     goes through ``_blocks`` and every piece through ``_separating_edge``."""
     adj = g.adj
     if s == 1:
-        atoms = minors._components(adj, g.vertex_mask())
+        atoms = components(adj, g.vertex_mask())
     else:
         atoms = minors._blocks(adj, g.n)
     if s >= 3:
@@ -580,7 +583,7 @@ def _atoms_scanned(g, s):
             m = todo.pop()
             pair = minors._separating_edge(adj, m)
             if pair:
-                todo += [c | pair for c in minors._components(adj, m & ~pair)]
+                todo += [c | pair for c in components(adj, m & ~pair)]
             else:
                 pieces.append(m)
         atoms = pieces
