@@ -12,6 +12,7 @@ subgraphs, and gluing.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -389,6 +390,8 @@ def from_edge_list(text: str) -> Graph:
         raise GraphFormatError(f"line {lineno}: non-integer in header {head!r}") from None
     if n < 0 or m < 0:
         raise GraphFormatError(f"line {lineno}: negative count in header")
+    if n > sys.maxsize:
+        raise GraphFormatError(f"line {lineno}: vertex count n={n} is too large")
     rows = rows[1:]
     labels = None
     if rows and rows[0][1].startswith("A="):
@@ -449,6 +452,8 @@ def from_json_dict(data: dict) -> Graph:
         raise GraphFormatError("vertex_count must be an integer")
     if n < 0:
         raise GraphFormatError("vertex_count must be non-negative")
+    if n > sys.maxsize:
+        raise GraphFormatError(f"vertex_count {n} is too large")
     if not isinstance(edges, list):
         raise GraphFormatError("edges must be a list of vertex pairs")
     adj = [0] * n

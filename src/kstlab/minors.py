@@ -71,9 +71,9 @@ class MinorSearch:
     """Outcome of a search.  ``nodes_expanded`` is summed over the atoms
     searched: branch-set search nodes for s >= 2, connected centre sets
     examined for s = 1.  ``atoms_searched`` counts the atoms that reached
-    ``_search`` or ``_star_search`` (atoms too small to hold the minor are
-    skipped; for s = 1 an atom the root bound decides at zero nodes still
-    counts)."""
+    ``_search`` or ``_star_search`` (atoms with too few vertices or, for
+    s >= 2, too low a circuit rank to hold the minor are skipped; for s = 1
+    an atom the root bound decides at zero nodes still counts)."""
 
     status: SearchStatus
     model: BranchModel | None
@@ -215,9 +215,36 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
     keep their order: the walk meets the same first model, or none, and
     only ``nodes_expanded`` drops.  Below a surviving zero-slack node the
     walk expands at most two nodes per level before it returns the model.
+
+    Circuit rank: mu(H) = |E| - |V| + #components never rises under
+    deletion or contraction (Diestel, Graph Theory, section 1.9), and
+    mu(K_{s,t}) = (s - 1)(t - 1).  Let W be a node's committed and undecided
+    vertices and C the component of G[W] that holds every committed set; if
+    none does, the node is dead.  A model below the node is connected and
+    lies inside C, so mu(G[C]) is at least the circuit rank of the subgraph
+    its vertices induce.  Each branch set B is connected, with |B| - 1 +
+    mu(G[B]) edges inside, so that rank is (s - 1)(t - 1) plus the waste:
+    the sum of mu(G[B]) over the sets, every edge between two sets of one
+    side, and e - 1 for every cross pair joined by e >= 1 edges.  Sets only
+    grow, so the committed sets already pay part of the waste: max(0, e -
+    |c| + 1) for a committed set c with e edges inside (at most mu(G[c]),
+    and mu is monotone), every edge between two committed sets of one side,
+    and e - 1 for every committed cross pair joined by e >= 1 edges.  A node
+    where mu(G[C]) is below (s - 1)(t - 1) plus that waste holds no model
+    and is dropped; so is a node with no set committed where no component of
+    G[W] reaches (s - 1)(t - 1).  As with the zero-slack rule, only subtrees
+    without a model are cut and the branching vertex and child order of
+    every node left are unchanged, so the answer and the model stay the same
+    and only ``nodes_expanded`` drops.  The test runs at slack above zero,
+    after the other prunes; at zero slack the exact test leaves it nothing
+    to cut.  The frame carries C, mu(G[C]), the waste and e - |c| + 1 per
+    set: a join or an open leaves W, and so C, as it was and adds the waste
+    of the edges the moved vertex brings; only an unused move walks C again,
+    and when that walk cuts off pieces, their edges leave mu(G[C]) too.
     """
     s, t = q.s, q.t
     k = s + t
+    need = (s - 1) * (t - 1)   # the circuit rank of K_{s,t}
     adj = g.adj
     cmask = [0] * k        # vertices committed to each branch set
     cnbr = [0] * k         # union of host neighbourhoods over each set
@@ -227,14 +254,13 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
         by_deg[d] = by_deg.get(d, 0) | 1 << v
     deg_classes = [by_deg[d] for d in sorted(by_deg, reverse=True)]
 
-    def branch(und: int, preach: list[int], pnbr: list[int], pjoins: list[int],
-               c: int) -> tuple | None:
-        """Expand a node reached by sending the parent's branching vertex to
-        set ``c`` (-1: unused).  ``preach``, ``pnbr`` and ``pjoins`` are the
-        parent's closures and the sets whose closure held that vertex.
-        Returns the node's branching vertex, its children (set indices, -1
-        for unused; last to try first), its closures and its join list; None
-        when a prune closes the node."""
+    def branch(und: int, parent: list) -> tuple | None:
+        """Expand a node reached by the move recorded in ``parent``, the
+        parent's frame: its branching vertex went to set ``parent[4]`` (-1:
+        unused).  Returns the node's branching vertex, its children (set
+        indices, -1 for unused; last to try first), its closures, its join
+        list and its rank data; None when a prune closes the node."""
+        c = parent[4]
         empty = cmask.count(0)
         slack = und.bit_count() - empty
         if slack < 0:
@@ -302,8 +328,9 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
         # The parent's closures carry over, except for a set just opened and
         # the sets whose closure held the vertex that went elsewhere (0 marks
         # a stale closure).
-        reach = preach[:]
-        nbr_reach = pnbr
+        reach = parent[6][:]
+        nbr_reach = pnbr = parent[7]
+        pjoins = parent[8]
         stale = len(pjoins)
         for d in pjoins:
             if d == c:
@@ -342,7 +369,9 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
 
         # Cross-pair liveness: an unlinked pair must still have a potential
         # host edge between the two closures.  At zero slack every pair is
-        # linked already.
+        # linked already, and the exact test there leaves the rank test
+        # nothing to cut, so no rank data is kept below it.
+        rank = None
         if slack:
             for i in range(s):
                 if not cmask[i]:
@@ -351,6 +380,59 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
                     if cmask[j] and not (cnbr[i] & cmask[j]):
                         if not (nbr_reach[i] & reach[j]):
                             return None
+
+            # Circuit rank: the component ``comp`` of the committed and
+            # undecided vertices that holds every committed set (0 while none
+            # is committed), its circuit rank ``mu`` (the most any component
+            # has while none is committed), the waste the committed sets
+            # already pay, and e - |c| + 1 for each set c with e edges inside.
+            comp, mu, waste, xs = parent[9]
+            vbit = parent[1]
+            if c < 0:
+                if not comp:
+                    mu = max(_edges(adj, m) - m.bit_count() + 1
+                             for m in components(adj, und))
+                elif comp & vbit:
+                    # The vertex left: walk what remains of the component and
+                    # drop the pieces cut off from the committed sets.
+                    x = 0
+                    for cm in cmask:
+                        x |= cm
+                    rest = comp ^ vbit
+                    kept = closure(adj, x & -x, rest)
+                    if x & ~kept:
+                        return None
+                    cut = rest ^ kept
+                    mu += (1 + cut.bit_count() - (parent[2] & comp).bit_count()
+                           - _edges(adj, cut))
+                    comp = kept
+            elif not comp:
+                comp = closure(adj, vbit, und | vbit)
+                mu = _edges(adj, comp) - comp.bit_count() + 1
+            elif not comp & vbit:
+                return None
+            else:
+                av = parent[2]
+                old = parent[5]
+                side = c < s
+                for j in range(k):
+                    hit = av & cmask[j]
+                    if hit and j != c:
+                        waste += hit.bit_count()
+                        # a cross pair's first edge is the one the minor needs
+                        if (j < s) != side and not old & cmask[j]:
+                            waste -= 1
+                if cmask[c] != vbit:
+                    x = xs[c]
+                    xs = xs[:]
+                    xs[c] = y = x + (av & cmask[c]).bit_count() - 1
+                    if y > 0:
+                        waste += y - max(x, 0)
+                    elif x > 0:
+                        waste -= x
+            if mu < need + waste:
+                return None
+            rank = comp, mu, waste, xs
 
         # ge[j] holds the undecided vertices inside at least j closures; the
         # empty sets a vertex may open are the same for every vertex.
@@ -382,18 +464,18 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
         e1 = next((c for c in range(s) if not cmask[c]), None)
         if e1 is not None and vbit & fit1:
             todo.append(e1)
-        return v, todo, reach, nbr_reach, joins
+        return v, todo, reach, nbr_reach, joins, rank
 
     nodes = 0
     # Frames: [undecided after v, 1 << v, adj[v], children left to try,
     # set holding v now (-1: none), that set's cnbr before v joined, the
-    # node's reach, nbr_reach and join list].  A child builds its own lists
-    # from its parent's, so the lists in a frame never change.
+    # node's reach, nbr_reach, join list and rank data].  A child builds its
+    # own lists from its parent's, so the lists in a frame never change.  The
+    # root's parent is a frame whose vertex went unused and whose sets are
+    # all empty.
     stack: list[list] = []
     und = within
-    reach = nbr_reach = [0] * k
-    joins: list[int] = []
-    c = -1
+    frame = [und, 0, 0, [], -1, 0, [0] * k, [0] * k, [], (0, 0, 0, [0] * k)]
     while True:
         if budget is not None and nodes >= budget:
             return MinorSearch(SearchStatus.BUDGET_EXHAUSTED, None, nodes, 1)
@@ -408,17 +490,17 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
             return MinorSearch(SearchStatus.FOUND,
                                BranchModel(tuple(side1), tuple(side2), g), nodes, 1)
 
-        node = branch(und, reach, nbr_reach, joins, c) if und else None
+        node = branch(und, frame) if und else None
         if node is not None:
-            v, todo, reach, nbr_reach, joins = node
+            v, todo, reach, nbr_reach, joins, rank = node
             stack.append([und ^ (1 << v), 1 << v, adj[v], todo, -1, 0,
-                          reach, nbr_reach, joins])
+                          reach, nbr_reach, joins, rank])
 
         # Undo the child last tried and apply the next one, dropping frames
         # whose children are all tried.
         while stack:
             frame = stack[-1]
-            nxt, vbit, av, todo, c, old, reach, nbr_reach, joins = frame
+            nxt, vbit, av, todo, c, old, _, _, _, _ = frame
             if c >= 0:
                 cmask[c] ^= vbit
                 cnbr[c] = old
@@ -433,6 +515,17 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
             stack.pop()
         else:
             return MinorSearch(SearchStatus.NOT_FOUND, None, nodes, 1)
+
+
+def _edges(adj, m: int) -> int:
+    """The number of host edges inside the vertex mask ``m``."""
+    total = 0
+    rest = m
+    while rest:
+        b = rest & -rest
+        total += (adj[b.bit_length() - 1] & m).bit_count()
+        rest ^= b
+    return total >> 1
 
 
 def _star_search(g: Graph, t: int, within: int, budget: int | None) -> MinorSearch:
@@ -644,6 +737,8 @@ def kst_atoms(g: Graph, s: int) -> list[tuple[int, ...]]:
     For s = 1 they are the connected components; for s >= 2 the blocks; for
     s >= 3 each block is further split along edges {u, v} whose removal
     disconnects it.  Every separator used is a clique of order less than s.
+    Every atom is connected, so ``find_kst_minor`` skips an atom whose
+    circuit rank |E| - |atom| + 1 is below (s - 1)(t - 1).
 
     A degree bound skips both scans on dense hosts.  Let a graph on n
     vertices have minimum degree delta with 2 * delta >= n + k - 2.  After
@@ -663,11 +758,14 @@ def find_kst_minor(g: Graph, q: MinorQuery, budget: int | None = None) -> MinorS
 
     ``g`` is split into atoms along clique separators of order less than s
     (see ``kst_atoms``) and each atom is searched in turn.  An atom with
-    fewer than s + t vertices or fewer than s * t edges cannot hold the
-    minor and is skipped at zero nodes.  ``budget`` caps the nodes summed
-    over all atoms; exceeding it yields BUDGET_EXHAUSTED, and a budget below
-    1 raises ValueError.  A found model is re-verified on ``g``, and a model
-    that fails raises RuntimeError.
+    fewer than s + t vertices cannot hold the minor and is skipped at zero
+    nodes, and so, for s >= 2, is an atom whose circuit rank |E| - |atom| +
+    1 is below (s - 1)(t - 1), the circuit rank of K_{s,t}: an atom is
+    connected, and the circuit rank never rises under deletion or
+    contraction (``_search`` applies the same bound at every node).
+    ``budget`` caps the nodes summed over all atoms; exceeding it yields
+    BUDGET_EXHAUSTED, and a budget below 1 raises ValueError.  A found model
+    is re-verified on ``g``, and a model that fails raises RuntimeError.
 
     For s >= 2, ``_search`` backtracks over branch sets inside an atom: it
     branches fail-first (fewest candidate sets, then highest degree in the
@@ -701,10 +799,12 @@ def find_kst_minor(g: Graph, q: MinorQuery, budget: int | None = None) -> MinorS
         return MinorSearch(SearchStatus.NOT_FOUND, None, 0, 0)
     adj = g.adj
     nodes = searched = 0
+    need = (s - 1) * (t - 1)
     for m in _atom_masks(adj, g.n, s):
-        # For s = 1 an atom is connected, so t + 1 vertices bring t edges.
-        if m.bit_count() < k or (
-                s > 1 and sum((adj[v] & m).bit_count() for v in bits(m)) < 2 * s * t):
+        # An atom is connected, so it holds the minor only if its circuit
+        # rank |E| - |atom| + 1 reaches (s - 1)(t - 1); for s = 1 that is
+        # any atom of t + 1 vertices.
+        if m.bit_count() < k or (s > 1 and _edges(adj, m) - m.bit_count() + 1 < need):
             continue
         left = None if budget is None else budget - nodes
         res = _star_search(g, t, m, left) if s == 1 else _search(g, q, m, left)

@@ -62,6 +62,20 @@ def test_check_minor_exit_codes(paths, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text, err", [
+    ("n=100000000000000000000 m=0\n",
+     "line 1: vertex count n=100000000000000000000 is too large"),
+    ('{"vertex_count": 100000000000000000000, "edges": []}',
+     "vertex_count 100000000000000000000 is too large"),
+], ids=["edge-list", "json"])
+def test_check_minor_refuses_a_vertex_count_too_large_to_index(tmp_path, capsys, text, err):
+    # [0] * n raised OverflowError (exit 4) before the count was checked.
+    g = tmp_path / "g.txt"
+    g.write_text(text)
+    assert main(["check-minor", str(g), "--s", "1", "--t", "1"]) == 3
+    assert capsys.readouterr() == ("", f"kstlab: error: {err}\n")
+
+
 def test_check_lcolor_exit_codes(paths, capsys):
     assert main(["check-lcolor", str(paths / "c4.txt"),
                  str(paths / "lists2.json")]) == 0

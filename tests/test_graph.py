@@ -348,6 +348,11 @@ def test_edge_list_error_reports_line_numbers():
     ("n=3 m=1\n0 --2\n", "line 2: non-integer endpoint in '0 --2'"),
     # '-' is still read, so these keep their messages
     ("n=-1 m=0\n", "line 1: negative count in header"),
+    # a count too large to index a list is refused before any list is built
+    ("n=100000000000000000000 m=0\n",
+     "line 1: vertex count n=100000000000000000000 is too large"),
+    ("# big\nn=9223372036854775808 m=0\n",
+     "line 2: vertex count n=9223372036854775808 is too large"),
     ("n=3 m=0\nA=-1\n", "line 2: A-vertex -1 out of range"),
     ("n=3 m=1\n0 -2\n", "line 2: edge (0,-2) out of range for n=3"),
 ])
@@ -401,6 +406,8 @@ def test_json_rejects_bool_counts_and_non_list_labels():
         from_json_dict({"vertex_count": True, "edges": []})
     with pytest.raises(GraphFormatError, match="^vertex_count must be non-negative$"):
         from_json_dict({"vertex_count": -1, "edges": []})
+    with pytest.raises(GraphFormatError, match="^vertex_count 10{20} is too large$"):
+        from_json_dict({"vertex_count": 10**20, "edges": []})
     with pytest.raises(GraphFormatError, match="labels"):
         from_json_dict({"vertex_count": 2, "edges": [], "labels": 5})
     with pytest.raises(GraphFormatError, match="^graph JSON missing field: 'vertex_count'$"):

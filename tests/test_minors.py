@@ -950,16 +950,52 @@ def _zero_slack_split(adj, und: int, fit1: int, fit2: int, e1: int) -> bool:
     return e1 in counts
 
 
+def _edges_between(adj, a: int, b: int) -> int:
+    return sum((adj[u] & b).bit_count() for u in bits(a))
+
+
+def _cycle_rank(adj, m: int) -> int:
+    """|E| - |V| + #components of the subgraph that ``m`` induces."""
+    return (_edges_between(adj, m, m) // 2 - m.bit_count()
+            + sum(1 for _ in components(adj, m)))
+
+
+def _rank_allows(adj, s: int, t: int, cmask: list[int], und: int) -> bool:
+    """The circuit-rank test of ``minors._search``, from scratch.  The
+    component C of the committed and undecided vertices that holds every
+    committed set must have circuit rank at least (s - 1)(t - 1) plus the
+    waste: e - |c| + 1 for each committed set c with e edges inside (when
+    positive), every edge between two sets of one side, and e - 1 for every
+    cross pair joined by e >= 1 edges.  With no set committed, some
+    component must reach (s - 1)(t - 1)."""
+    need = (s - 1) * (t - 1)
+    x = mask_of(v for cm in cmask for v in bits(cm))
+    if not x:
+        return max(_cycle_rank(adj, m) for m in components(adj, und)) >= need
+    comp = closure(adj, x & -x, x | und)
+    if x & ~comp:
+        return False
+    waste = sum(max(0, _edges_between(adj, cm, cm) // 2 - cm.bit_count() + 1)
+                for cm in cmask if cm)
+    for i, j in itertools.combinations(range(s + t), 2):
+        e = _edges_between(adj, cmask[i], cmask[j])
+        waste += e if (i < s) == (j < s) else max(0, e - 1)
+    return _cycle_rank(adj, comp) >= need + waste
+
+
 def _search_reference(g: Graph, q: MinorQuery, within: int, budget: int | None,
-                      zero_slack: bool = True, exact: bool = True) -> MinorSearch:
-    """``minors._search`` without closures carried across nodes: every node
-    recomputes the reach closure of every non-empty set.  Kept as the
-    reference the incremental search must match node for node.  With
+                      zero_slack: bool = True, exact: bool = True,
+                      rank: bool = True) -> MinorSearch:
+    """``minors._search`` without closures or circuit ranks carried across
+    nodes: every node recomputes the reach closure of every non-empty set
+    and, at slack above zero, the circuit-rank test.  Kept as the reference
+    the incremental search must match node for node.  With
     ``zero_slack=False`` the zero-slack rule is off, which gives the larger
     tree of the search before that rule; it must reach the same answers.
     With ``exact=False`` only the exact zero-slack test is off (committed
     sets connected, and the split of the undecided vertices), which gives
-    the tree of the search that checked each vertex on its own."""
+    the tree of the search that checked each vertex on its own.  With
+    ``rank=False`` the circuit-rank test is off."""
     s, t = q.s, q.t
     k = s + t
     adj = g.adj
@@ -1027,6 +1063,9 @@ def _search_reference(g: Graph, q: MinorQuery, within: int, budget: int | None,
                 if cmask[j] and not (cnbr[i] & cmask[j]):
                     if not (nbr_reach[i] & reach[j]):
                         return None
+
+        if rank and slack and not _rank_allows(adj, s, t, cmask, und):
+            return None
 
         # ge[j] holds the undecided vertices inside at least j closures; the
         # empty sets a vertex may open are the same for every vertex.
@@ -1151,10 +1190,10 @@ def test_incremental_closures_keep_the_tree_on_glued_hosts():
 
 
 def _no_worse_than_without(g, q, budget, **off):
-    """A zero-slack rule cuts only subtrees without a model and keeps the
-    order of the children left, so the answer and the model stay those of
-    the reference search with the rules in ``off`` switched off, at no more
-    nodes."""
+    """A zero-slack or circuit-rank rule cuts only subtrees without a model
+    and keeps the order of the children left, so the answer and the model
+    stay those of the reference search with the rules in ``off`` switched
+    off, at no more nodes."""
     got = _search(g, q, g.vertex_mask(), budget)
     old = _search_reference(g, q, g.vertex_mask(), budget, **off)
     assert got.nodes_expanded <= old.nodes_expanded, (g.adj, q, budget)
@@ -1222,3 +1261,79 @@ def test_zero_slack_finds_k67_on_a_desk_gadget():
     res = find_kst_minor(g, q, budget=20_000)
     assert res.status is SearchStatus.FOUND
     assert model_violation(g, res.model, q) is None
+
+
+# --- circuit-rank rule against the tree without it ---------------------------
+
+
+@settings(max_examples=300)
+@given(st.one_of(graphs(min_n=1, max_n=9), sparse_graphs(min_n=1, max_n=9)), st.data())
+def test_rank_prune_keeps_answers_and_models(g, data):
+    s = data.draw(st.integers(1, 4))
+    t = data.draw(st.integers(s, 4))
+    _no_worse_than_without(g, MinorQuery(s, t), 20_000, rank=False)
+
+
+def test_rank_prune_keeps_answers_and_models_on_glued_hosts():
+    for g, q in _glued_host_queries():
+        _no_worse_than_without(g, q, 2_000, rank=False)
+
+
+def test_rank_prune_drops_sets_split_by_an_unused_vertex():
+    # Two blobs joined at the cut vertex 8: the search commits two side-1
+    # sets, one in each blob, and leaving 8 unused puts them in different
+    # components, so no model can hold both.
+    g = Graph.from_edges(9, [(0, 1), (0, 2), (0, 3), (0, 8), (1, 2), (2, 3), (3, 8),
+                             (4, 5), (4, 6), (4, 7), (4, 8), (5, 7), (5, 8), (6, 7)])
+    assert _same_tree(g, MinorQuery(3, 3), None).status is SearchStatus.NOT_FOUND
+
+
+@pytest.mark.parametrize("s, t, status, nodes, without", [
+    # 15 edges on 10 vertices: circuit rank 6 = (3 - 1)(4 - 1), so a model
+    # uses every edge and any set with an edge to spare is dead.
+    (3, 4, SearchStatus.FOUND, 19, 2_627),
+    (3, 3, SearchStatus.FOUND, 18, 59),
+    (2, 5, SearchStatus.NOT_FOUND, 5_527, 18_339),
+])
+def test_rank_prune_on_petersen(s, t, status, nodes, without):
+    g = petersen()
+    q = MinorQuery(s, t)
+    res = find_kst_minor(g, q)
+    assert (res.status, res.nodes_expanded) == (status, nodes)
+    old = _search_reference(g, q, g.vertex_mask(), None, rank=False)
+    assert (old.status, old.model, old.nodes_expanded) == (status, res.model, without)
+
+
+def test_rank_prune_finds_k22_on_a_long_cycle():
+    # Without the rule, K_{2,2} on a 200-vertex cycle used up 300,000 nodes:
+    # the search grew sets around the cycle and left the rest unused at
+    # every depth.  A cycle has circuit rank 1, so once a vertex goes unused
+    # the rest is a path and the subtree is dead.
+    g = cycle(200)
+    q = MinorQuery(2, 2)
+    res = find_kst_minor(g, q, budget=1_000)
+    assert res.status is SearchStatus.FOUND
+    assert model_violation(g, res.model, q) is None
+
+
+def test_rank_prune_decides_a_six_copy_tiny_assembly():
+    # K_{2,7} on six tiny gadgets glued along B: 14 vertices, 25 edges,
+    # circuit rank 12 >= 6, so the atom is searched; the search used up a
+    # 300,000-node budget before the rule.
+    g = _tiny_assembly(6)
+    res = find_kst_minor(g, MinorQuery(2, 7), budget=300_000)
+    assert res.status is SearchStatus.NOT_FOUND
+
+
+def test_rank_filter_skips_atoms_at_zero_nodes():
+    # K_{2,4} has circuit rank 3.  C_8 with one chord is a single block with
+    # 9 edges, enough for the old filter (s * t = 8 edges), but its circuit
+    # rank is 2, so it is skipped at zero nodes; a second chord makes the
+    # rank 3 and the block is searched.
+    q = MinorQuery(2, 4)
+    ring = [(v, (v + 1) % 8) for v in range(8)]
+    theta = Graph.from_edges(8, [*ring, (0, 4)])
+    assert kst_atoms(theta, 2) == [tuple(range(8))]
+    res = find_kst_minor(theta, q)
+    assert (res.status, res.nodes_expanded, res.atoms_searched) == (SearchStatus.NOT_FOUND, 0, 0)
+    assert find_kst_minor(Graph.from_edges(8, [*ring, (0, 4), (2, 6)]), q).atoms_searched == 1
