@@ -86,6 +86,25 @@ def components(adj, mask: int) -> Iterator[int]:
         mask ^= comp
 
 
+def _symmetric(adj) -> bool:
+    """Whether loop-free bitset rows ``adj`` are symmetric.  Each pair above
+    the diagonal is checked for its mirror below it.  Distinct pairs have
+    distinct mirrors, so when the rows hold twice as many bits as there are
+    pairs above the diagonal, the mirrors are every pair below it."""
+    ends = above = 0
+    for v, row in enumerate(adj):
+        ends += row.bit_count()
+        # Bit i of ``up`` is vertex v + 1 + i.
+        up = row >> v + 1
+        above += up.bit_count()
+        while up:
+            b = up & -up
+            if not (adj[v + b.bit_length()] >> v) & 1:
+                return False
+            up ^= b
+    return ends == 2 * above
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite simple graph: no loops, no parallel edges, undirected."""
@@ -103,16 +122,18 @@ class Graph:
                 raise ValueError(f"adjacency row {v} mentions out-of-range vertices")
             if (row >> v) & 1:
                 raise ValueError(f"loop at vertex {v}")
-        # Inline bit loop: every graph the CLI loads is validated here.
+        # Inline bit loop: every graph the CLI loads is validated here.  Only
+        # an asymmetric graph takes it, and its first miss names the pair.
         adj = self.adj
-        for v in range(self.n):
-            row = adj[v]
-            while row:
-                b = row & -row
-                u = b.bit_length() - 1
-                if not (adj[u] >> v) & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
-                row ^= b
+        if not _symmetric(adj):
+            for v in range(self.n):
+                row = adj[v]
+                while row:
+                    b = row & -row
+                    u = b.bit_length() - 1
+                    if not (adj[u] >> v) & 1:
+                        raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                    row ^= b
         if self.labels is not None:
             if len(self.labels) != self.n:
                 raise ValueError("labels length must equal vertex count")

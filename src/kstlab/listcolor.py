@@ -161,6 +161,18 @@ def find_l_coloring(g: Graph, lists: ListAssignment) -> tuple[int, ...] | None:
     ``exact[j] & uncolored``.  A node therefore costs a few big-int
     operations per list size, and none walks the vertices one by one.
 
+    A vertex whose last colour struck nothing is not given another colour
+    when the search backtracks to it.  Its colour c was live at no
+    uncolored neighbour, so after v takes c the rest of the search is G - v
+    with every live list unchanged, and that search failed.  Any other
+    colour c' leaves lists that are pointwise subsets of those, and a graph
+    that cannot be coloured from some lists cannot be coloured from subsets
+    of them, so every c' fails too.  Only subtrees without a colouring are
+    cut: the first colouring found, and every None, are those of the search
+    that tries all colours.  Fresh private colours, such as the padding of
+    ``is_k_choosable``'s witnesses, strike nothing, so a failing core is
+    searched once, not once per colour of every padding vertex before it.
+
     The backtracking keeps an explicit stack, so depth is not bounded by the
     interpreter's recursion limit.  Returns a proper in-list coloring,
     re-checked by ``verify_coloring`` (a failed check raises RuntimeError),
@@ -194,8 +206,9 @@ def find_l_coloring(g: Graph, lists: ListAssignment) -> tuple[int, ...] | None:
     wide = range(2, top + 1)
     # Frames: [vertex bit, uncolored after it, its uncolored neighbours, its
     # list colours not yet tried, the colour index it holds, the neighbours
-    # that colour was struck from].  Strikes only reach uncolored vertices,
-    # so a coloured vertex's live colours are read from ``has`` as reached.
+    # that colour was struck from, or -1 before its first colour].  Strikes
+    # only reach uncolored vertices, so a coloured vertex's live colours are
+    # read from ``has`` as reached.
     stack: list[list] = []
     uncolored = (1 << n) - 1
     while uncolored:
@@ -209,13 +222,17 @@ def find_l_coloring(g: Graph, lists: ListAssignment) -> tuple[int, ...] | None:
         if not exact[0] & b:
             v = b.bit_length() - 1
             uncolored ^= b
-            stack.append([b, uncolored, adj[v] & uncolored, own[v], 0, 0])
+            stack.append([b, uncolored, adj[v] & uncolored, own[v], 0, -1])
         # Undo the colour last tried and forward-check the next one,
-        # dropping frames whose colours are all tried.
+        # dropping frames whose colours are all tried, or whose last colour
+        # struck nothing (see the docstring).
         while stack:
             frame = stack[-1]
             b, uncolored, nbrs, options, c, struck = frame
-            if struck:
+            if not struck:
+                stack.pop()
+                continue
+            if struck > 0:
                 has[c] |= struck
                 for j in counts:
                     t = exact[j] & struck

@@ -890,57 +890,69 @@ def _assignment_chunks(n: int, groups: tuple[int, ...]):
 
 
 @lru_cache(maxsize=64)
-def _assignment_masks(n: int, groups: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """All rows of ``_assignment_chunks(n, groups)``, one array per class.
-    Cached; graph-independent.  The cache holds every (n, groups) shape that
-    K_{s,t} queries on 5-7 vertex hosts use (27 of them) with room to spare."""
-    rows = np.concatenate(list(_assignment_chunks(n, groups)), axis=1)
-    return tuple(np.copy(row) for row in rows)
+def _assignment_masks(n: int, groups: tuple[int, ...]) -> np.ndarray:
+    """All rows of ``_assignment_chunks(n, groups)`` as one ``(k, rows)``
+    array: row c holds class c's vertex mask in every assignment.  Cached;
+    graph-independent.  The cache holds every (n, groups) shape that
+    K_{s,t} queries on 5-7 vertex hosts use (27 of them) with room to spare.
+    The chunks come out column-major; the checks gather and reduce whole
+    class rows, which is faster on a row-major copy."""
+    return np.ascontiguousarray(np.concatenate(list(_assignment_chunks(n, groups)), axis=1))
 
 
 @lru_cache(maxsize=256)
 def _pattern_plan(n: int, adj: tuple[int, ...]
-                  ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], int]:
+                  ) -> tuple[tuple[int, ...], tuple[np.ndarray, np.ndarray], int]:
     """For pattern rows ``adj`` on an n-vertex host: the twin group sizes,
-    the pattern's edges relabelled so each group is contiguous, and the row
-    count of its ordered assignment table."""
+    the classes at the two ends of each pattern edge, relabelled so each
+    group is contiguous, and the row count of its ordered assignment
+    table."""
     f = Graph(len(adj), adj)
     twins = _twin_groups(f)
     groups = tuple(len(grp) for grp in twins)
     pos = {v: i for i, v in enumerate(v for grp in twins for v in grp)}
-    edges = tuple((pos[a], pos[b]) for a, b in f.edges())
+    edges = [(pos[a], pos[b]) for a, b in f.edges()]
+    ends = (np.array([a for a, _ in edges], dtype=np.intp),
+            np.array([b for _, b in edges], dtype=np.intp))
     rows = _surjections(n, f.n) // prod(factorial(g) for g in groups)
-    return groups, edges, rows
+    return groups, ends, rows
+
+
+@lru_cache(maxsize=None)
+def _subset_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Over the subsets 0..2^n - 1 of n vertices: their masks, their lowest
+    bits, and a ``(2^n, n)`` table of the vertices each holds."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    holds = (masks[:, None] >> np.arange(n)) & 1 == 1
+    return masks, masks & -masks, holds
 
 
 def _mask_luts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Per-subset connectivity and neighbourhood lookup tables for g.  A
     subset is connected iff the walk from its lowest vertex, growing by
-    neighbours inside the subset, covers it within n - 1 steps."""
-    n = g.n
-    nbr = np.zeros(1 << n, dtype=np.int64)
-    for v in range(n):
-        nbr[1 << v:2 << v] = nbr[:1 << v] | g.adj[v]
-    masks = np.arange(1 << n, dtype=np.int64)
-    reach = masks & -masks
-    for _ in range(n - 1):
-        reach = (reach | nbr[reach]) & masks
+    neighbours inside the subset, covers it within n - 1 steps; a step
+    looks the walk up in the closed-neighbourhood table ``nbr | masks``."""
+    masks, reach, holds = _subset_tables(g.n)
+    nbr = np.bitwise_or.reduce(np.where(holds, np.array(g.adj, dtype=np.int64), 0), axis=1)
+    closed = nbr | masks
+    for _ in range(g.n - 1):
+        reach = closed[reach] & masks
     conn = reach == masks
     conn[0] = False
     return conn, nbr
 
 
-def _check_assignments(masks, conn, nbr, f_edges, k) -> bool:
-    ok = conn[masks[0]]
-    for c in range(1, k):
-        ok = ok & conn[masks[c]]
-    # One early exit, where most rows of a large streamed chunk have died; on
-    # tables of tens of rows a test per class or edge costs more than it saves.
+def _check_assignments(conn, nbr, table, ends) -> bool:
+    """Whether some row of the ``(k, rows)`` table has every class connected
+    and a host edge between the classes ``ends[0][e]`` and ``ends[1][e]`` at
+    the ends of every pattern edge e: a fixed number of array operations
+    whatever k and |E| are."""
+    ok = conn[table].all(axis=0)
+    # One early exit, where most rows of a large streamed chunk have died.
     if not ok.any():
         return False
-    for a, b in f_edges:
-        ok = ok & ((nbr[masks[a]] & masks[b]) != 0)
-    return bool(ok.any())
+    a, b = ends
+    return bool((ok & (nbr[table[a]] & table[b]).all(axis=0)).any())
 
 
 def oracle_has_minor(g: Graph, f: Graph) -> bool:
@@ -954,9 +966,10 @@ def oracle_has_minor(g: Graph, f: Graph) -> bool:
     is an automorphism of f, so permuting the classes of a model within a
     twin group gives a model again, and every model's orbit holds one
     ordered assignment.  Queries whose ordered table has at most
-    ``_CACHE_ROW_LIMIT`` rows use a cached table; larger ones, which arise
-    only on 9-vertex hosts with 5 to 8 classes and few twins, stream it in
-    chunks."""
+    ``_CACHE_ROW_LIMIT`` rows use a cached ``(k, rows)`` table; larger
+    ones, which arise only on 9-vertex hosts with 5 to 8 classes and few
+    twins, stream it in chunks.  Either way a table is tested by
+    ``_check_assignments`` in a fixed number of array operations."""
     if g.n > _ORACLE_MAX_N:
         raise ValueError(f"oracle host cap is {_ORACLE_MAX_N} vertices, got {g.n}")
     k = f.n
@@ -964,9 +977,9 @@ def oracle_has_minor(g: Graph, f: Graph) -> bool:
         return True
     if g.n < k:
         return False
-    groups, f_edges, rows = _pattern_plan(g.n, f.adj)
+    groups, ends, rows = _pattern_plan(g.n, f.adj)
     conn, nbr = _mask_luts(g)
     if rows <= _CACHE_ROW_LIMIT:
-        return _check_assignments(_assignment_masks(g.n, groups), conn, nbr, f_edges, k)
-    return any(_check_assignments(chunk, conn, nbr, f_edges, k)
+        return _check_assignments(conn, nbr, _assignment_masks(g.n, groups), ends)
+    return any(_check_assignments(conn, nbr, chunk, ends)
                for chunk in _assignment_chunks(g.n, groups))

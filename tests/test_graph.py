@@ -42,6 +42,7 @@ from kstlab.graph import (
     to_edge_list,
     to_json_dict,
 )
+import kstlab.graph as graph_module
 
 from conftest import graph_from_edge_code, graphs
 
@@ -108,6 +109,44 @@ def test_constructors_and_operations_reject_bad_arguments(call, err):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == err
+
+
+def _first_asymmetric_pair(rows):
+    """The full walk: rows in order, each from its lowest bit, and the first
+    bit u of row v whose mirror is missing, as (u, v); None if symmetric."""
+    for v, row in enumerate(rows):
+        for u in bits(row):
+            if not rows[u] >> v & 1:
+                return u, v
+    return None
+
+
+@given(graphs(max_n=9), st.data())
+def test_symmetry_check_matches_the_full_walk(g, data):
+    # Flip a few bits of a symmetric graph.  With ``below`` every flip lies
+    # below the diagonal (bit u of row v, u < v), where the walk above the
+    # diagonal does not look: a bit added there is caught only by the count.
+    rows = list(g.adj)
+    below = data.draw(st.booleans())
+    pairs = [(u, v) for u, v in itertools.permutations(range(g.n), 2) if not below or u < v]
+    for u, v in data.draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []:
+        rows[v] ^= 1 << u
+    pair = _first_asymmetric_pair(rows)
+    assert graph_module._symmetric(tuple(rows)) is (pair is None), rows
+    if pair is None:
+        assert Graph(g.n, tuple(rows)).adj == tuple(rows)
+    else:
+        with pytest.raises(ValueError, match=f"^asymmetric adjacency between {pair[0]} and {pair[1]}$"):
+            Graph(g.n, tuple(rows))
+
+
+def test_symmetry_check_counts_bits_below_the_diagonal():
+    # Row 2 holds 0, whose row lacks 2: nothing above the diagonal misses
+    # its mirror, so only the bit count tells the rows apart from a path.
+    rows = (0b010, 0b101, 0b011)
+    assert graph_module._symmetric(rows) is False
+    with pytest.raises(ValueError, match="^asymmetric adjacency between 0 and 2$"):
+        Graph(3, rows)
 
 
 def test_from_edges_builds_symmetric_adjacency():

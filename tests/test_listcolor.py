@@ -266,6 +266,50 @@ def test_long_path_matches_the_recursive_solver():
     assert got is not None and got == _recursive_solver(g, lists)
 
 
+@settings(max_examples=200)
+@given(graphs(min_n=1, max_n=6), st.integers(0, 4), st.data())
+def test_private_colours_before_the_rest_keep_the_recursive_visit_order(core, pad, data):
+    # Vertices 0..pad-1 come first, joined at random to every later vertex;
+    # each has two colours no other list holds, or, one time in two, two of
+    # the rest's colours.  The rest is ``core`` with 2- or 3-lists from
+    # {0, 1, 2}.  A private colour strikes nothing, so where the rest fails
+    # the search backtracks into frames whose colour struck nothing, and
+    # pops them; a shared colour that struck something is still retried.
+    n = pad + core.n
+    edges = [(u + pad, v + pad) for u, v in core.edges()]
+    later = [(u, v) for u in range(pad) for v in range(u + 1, n)]
+    if later:
+        edges += data.draw(st.lists(st.sampled_from(later), unique=True))
+    shared = st.lists(st.integers(0, 2), min_size=2, max_size=2, unique=True)
+    lists = [data.draw(shared) if data.draw(st.booleans()) else [10 + 2 * v, 11 + 2 * v]
+             for v in range(pad)]
+    lists += [data.draw(st.lists(st.integers(0, 2), min_size=2, max_size=3, unique=True))
+              for _ in range(core.n)]
+    g = Graph.from_edges(n, edges)
+    la = ListAssignment.of_lists(lists)
+    assert find_l_coloring(g, la) == _recursive_solver(g, la)
+
+
+@pytest.mark.parametrize("cycle_length", [3, 5])
+@pytest.mark.parametrize("paths", [0, 1, 2, 3])
+def test_witnesses_with_pendant_paths_before_an_odd_cycle(paths, cycle_length):
+    # Pendant paths of 1, 2 and 3 vertices are numbered before the odd
+    # cycle they hang from, so the witness pads them with private colours
+    # ahead of the failing core.
+    first = paths * (paths + 1) // 2
+    ring = [first + i for i in range(cycle_length)]
+    edges, v = list(zip(ring, ring[1:] + ring[:1])), 0
+    for i in range(paths):
+        chain = list(range(v, v + i + 1)) + [ring[i]]
+        edges += zip(chain, chain[1:])
+        v += i + 1
+    g = Graph.from_edges(first + cycle_length, edges)
+    verdict = _same_tree(g, 2, max_vertices=g.n)
+    assert not verdict.choosable
+    assert find_l_coloring(g, verdict.witness) is None
+    assert _recursive_solver(g, verdict.witness) is None
+
+
 def test_unverified_answers_raise(monkeypatch):
     # Plain raises, not asserts, so ``python -O`` keeps them.
     monkeypatch.setattr(lc, "verify_coloring", lambda *args: False)

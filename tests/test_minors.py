@@ -57,7 +57,7 @@ from kstlab.minors import (
     verify_model,
 )
 
-from conftest import graphs, sparse_graphs
+from conftest import graph_from_edge_code, graphs, sparse_graphs
 
 
 # --- query and model plumbing -------------------------------------------
@@ -484,6 +484,62 @@ def test_oracle_matches_full_table_on_all_graphs_up_to_5(all_graph_codes_by_n):
 @given(graphs(min_n=6, max_n=7), st.sampled_from(_TWIN_PATTERNS + _TWIN_FREE_PATTERNS))
 def test_oracle_matches_full_table_on_6_and_7_vertices(g, f):
     assert oracle_has_minor(g, f) is _full_table_oracle(g, f), (g.adj, f.adj)
+
+
+def _check_per_class_and_edge(masks, conn, nbr, f_edges, k):
+    """The table check as one array operation per class and per pattern
+    edge, on the rows of each class in turn."""
+    ok = conn[masks[0]]
+    for c in range(1, k):
+        ok = ok & conn[masks[c]]
+    if not ok.any():
+        return False
+    for a, b in f_edges:
+        ok = ok & ((nbr[masks[a]] & masks[b]) != 0)
+    return bool(ok.any())
+
+
+@lru_cache(maxsize=None)
+def _one_code_per_isomorphism_class(n):
+    """The least edge code (as in ``graph_from_edge_code``) of each
+    isomorphism class of n-vertex graphs, from every relabelling of every
+    code at once."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    codes = np.arange(1 << len(pairs), dtype=np.int64)
+    least = codes.copy()
+    for perm in itertools.permutations(range(n)):
+        moved = np.zeros_like(codes)
+        for i, (u, v) in enumerate(pairs):
+            moved |= (codes >> i & 1) << index[tuple(sorted((perm[u], perm[v])))]
+        least = np.minimum(least, moved)
+    return tuple(np.unique(least).tolist())
+
+
+def test_isomorphism_class_codes_count_the_graphs_on_6_vertices():
+    # 1, 1, 2, 4, 11, 34 and 156 graphs on 0 to 6 vertices (OEIS A000088).
+    assert [len(_one_code_per_isomorphism_class(n)) for n in range(7)] == [
+        1, 1, 2, 4, 11, 34, 156]
+
+
+def test_whole_table_check_matches_per_class_check_up_to_6_vertices():
+    # Every graph on at most 6 vertices, one labelling per isomorphism class,
+    # against every K_{s,t} and K_j that fits.  (Criterion 1 runs the oracle
+    # on every labelled 6-vertex graph.)
+    for n in range(1, 7):
+        plans = []
+        for f in ([complete_bipartite(s, t) for s in range(1, n) for t in range(s, n - s + 1)]
+                  + [complete(j) for j in range(1, n + 1)]):
+            groups, ends, _ = minors._pattern_plan(n, f.adj)
+            table = minors._assignment_masks(n, groups)
+            plans.append((f.n, list(zip(*ends)), table, ends))
+        for code in _one_code_per_isomorphism_class(n):
+            g = graph_from_edge_code(n, code)
+            conn, nbr = minors._mask_luts(g)
+            for k, edges, table, ends in plans:
+                assert (minors._check_assignments(conn, nbr, table, ends)
+                        is _check_per_class_and_edge(tuple(table), conn, nbr, edges, k)), (
+                    g.adj, k)
 
 
 # --- structural properties -------------------------------------------------
