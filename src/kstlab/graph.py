@@ -12,7 +12,6 @@ subgraphs, and gluing.
 from __future__ import annotations
 
 import json
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -21,6 +20,11 @@ LABEL_A = "A"
 LABEL_B = "B"
 
 FORMAT_VERSION = 1
+
+# The largest vertex count a graph file may declare.  Both readers build one
+# adjacency row per declared vertex before reading an edge, so a larger
+# count is refused as a format error instead of being allocated.
+MAX_VERTICES = 1 << 20
 
 
 class GraphFormatError(ValueError):
@@ -116,9 +120,9 @@ class Graph:
     def __post_init__(self):
         if self.n < 0 or len(self.adj) != self.n:
             raise ValueError("adjacency length must equal vertex count")
-        full = (1 << self.n) - 1
+        n = self.n
         for v, row in enumerate(self.adj):
-            if row & ~full:
+            if row >> n:
                 raise ValueError(f"adjacency row {v} mentions out-of-range vertices")
             if (row >> v) & 1:
                 raise ValueError(f"loop at vertex {v}")
@@ -411,7 +415,7 @@ def from_edge_list(text: str) -> Graph:
         raise GraphFormatError(f"line {lineno}: non-integer in header {head!r}") from None
     if n < 0 or m < 0:
         raise GraphFormatError(f"line {lineno}: negative count in header")
-    if n > sys.maxsize:
+    if n > MAX_VERTICES:
         raise GraphFormatError(f"line {lineno}: vertex count n={n} is too large")
     rows = rows[1:]
     labels = None
@@ -473,7 +477,7 @@ def from_json_dict(data: dict) -> Graph:
         raise GraphFormatError("vertex_count must be an integer")
     if n < 0:
         raise GraphFormatError("vertex_count must be non-negative")
-    if n > sys.maxsize:
+    if n > MAX_VERTICES:
         raise GraphFormatError(f"vertex_count {n} is too large")
     if not isinstance(edges, list):
         raise GraphFormatError("edges must be a list of vertex pairs")

@@ -41,9 +41,12 @@ a classical theorem already answers:
    recognises the even cycles and theta_{2,2,2m} among them by counting
    edges and degrees.  When every component passes, the search for that
    kernel is skipped and no bad assignment is reported, which is what the
-   complete search of reductions 1-3 would return; kernels that fail the
-   test are searched exactly as before, in the same order, so verdicts and
-   witnesses do not depend on this reduction.
+   complete search of reductions 1-3 would return.  A kernel that is one
+   odd cycle is never 2-choosable, and its bad assignment is written down
+   without enumerating: it is the one the enumerator decides first (see
+   ``is_k_choosable``).  Every other kernel that fails the test is searched
+   exactly as before, in the same order, so verdicts, witnesses and
+   assignment counts do not depend on this reduction.
 
 Leaves of the enumeration are decided on color-class bitmasks.  The search
 keeps the host's adjacency restricted to the kernel, the lists as color
@@ -72,7 +75,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .graph import Graph, bits, components
+from .graph import Graph, bits, closure, components
 
 
 @dataclass(frozen=True)
@@ -340,6 +343,23 @@ def _two_choosable_core(g: Graph, mask: int) -> bool:
     return True
 
 
+def _odd_cycle(g: Graph, mask: int) -> bool:
+    """True iff g[mask] is one cycle of odd length.  ``mask`` must induce
+    minimum degree at least 2 (a k = 2 kernel), so g[mask] is a disjoint
+    union of cycles iff no vertex has degree above 2, and one cycle iff it
+    is also connected."""
+    if not mask.bit_count() & 1:
+        return False
+    adj = g.adj
+    m = mask
+    while m:
+        b = m & -m
+        if (adj[b.bit_length() - 1] & mask).bit_count() != 2:
+            return False
+        m ^= b
+    return closure(adj, mask & -mask, mask) == mask
+
+
 @lru_cache(maxsize=1024)
 def _subsets(pool: int, r: int) -> tuple[int, ...]:
     """The r-color subsets of the color mask ``pool``, as masks, in the
@@ -477,6 +497,9 @@ def _bad_assignment_on(g: Graph, mask: int, k: int
     return None, leaves
 
 
+_PAIR = frozenset({0, 1})
+
+
 def is_k_choosable(
     g: Graph,
     k: int,
@@ -488,12 +511,30 @@ def is_k_choosable(
 
     For k = 2, kernels whose components are all even cycles or
     theta_{2,2,2m} are answered by the Erdos-Rubin-Taylor characterisation
-    without enumerating (reduction 4 of the module docstring).  Every other
-    kernel is enumerated, and each complete assignment is decided exactly on
-    color-class bitmasks; since the leaf test is exact and the enumeration
-    order is fixed, the first bad assignment found, and so the witness, does
-    not depend on how leaves are decided.  The verdict's ``assignments``
-    counts the complete assignments decided.
+    without enumerating (reduction 4 of the module docstring).  A kernel
+    that is one odd cycle is answered without enumerating too: its bad
+    assignment is the list {0, 1} at every vertex, counted as one
+    assignment, which is exactly the enumerator's first leaf.  Deleting any
+    vertex of the cycle leaves a path, whose kernel is empty, so the memo
+    search enumerates the cycle itself.  The canonical order gives every
+    vertex before the last one, w, the list {0, 1}: the first vertex takes
+    two fresh colors, and each later one the first 2-subset of the colors
+    used, which leaves no color of support 1, so w's first list is {0, 1}
+    as well.  The cycle minus w is a path on an even number of vertices, so
+    any coloring of it from {0, 1} alternates and gives its two ends, w's
+    neighbors, different colors.  Striking color 0, or color 1, from both
+    ends therefore leaves no coloring, so that leaf is bad and the
+    enumerator returns it after deciding one assignment.  Bipartite kernels
+    that fail the core test are still enumerated, and they are the only
+    kernels the enumerator still sees: a non-bipartite kernel that is not
+    one odd cycle has a vertex off a shortest odd cycle, and the memo search
+    finds a bad assignment below some deletion before enumerating it.
+
+    Every other kernel is enumerated, and each complete assignment is
+    decided exactly on color-class bitmasks; since the leaf test is exact
+    and the enumeration order is fixed, the first bad assignment found, and
+    so the witness, does not depend on how leaves are decided.  The
+    verdict's ``assignments`` counts the complete assignments decided.
 
     Refuses instances above the caps (default 8 vertices, k <= 3; both are
     arguments) instead of answering partially; caps below 1, which allow no
@@ -524,6 +565,10 @@ def is_k_choosable(
             hit = memo[mask]
         elif not mask or k == 2 and _two_choosable_core(g, mask):
             hit = memo[mask] = None
+        elif k == 2 and _odd_cycle(g, mask):
+            # the enumerator's first leaf, decided in closed form (docstring)
+            hit = memo[mask] = dict.fromkeys(bits(mask), _PAIR)
+            leaves += 1
         else:
             hit = None
             stack.append([mask, mask])

@@ -13,6 +13,7 @@ import json
 import os
 import runpy
 import shlex
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -31,7 +32,7 @@ from kstlab import (
 )
 from kstlab import cli
 from kstlab.cli import _json_report, build_parser, main
-from kstlab.graph import parse, path, to_edge_list, to_json_dict
+from kstlab.graph import MAX_VERTICES, parse, path, to_edge_list, to_json_dict
 from kstlab.listcolor import ListAssignment, verify_coloring
 from kstlab.minors import BranchModel, MinorQuery, model_violation
 
@@ -74,6 +75,28 @@ def test_check_minor_refuses_a_vertex_count_too_large_to_index(tmp_path, capsys,
     g.write_text(text)
     assert main(["check-minor", str(g), "--s", "1", "--t", "1"]) == 3
     assert capsys.readouterr() == ("", f"kstlab: error: {err}\n")
+
+
+@pytest.mark.parametrize("text", ["n=%d m=0\n", '{"vertex_count": %d, "edges": []}'],
+                         ids=["edge-list", "json"])
+def test_check_minor_reads_up_to_the_vertex_cap(tmp_path, capsys, text):
+    # A count that fits an index but not memory exited 4 with MemoryError.
+    # The cap is read; one more is refused before a row is allocated.
+    g = tmp_path / "g.txt"
+    g.write_text(text % MAX_VERTICES)
+    assert main(["check-minor", str(g), "--s", "1", "--t", "1"]) == 1
+    assert capsys.readouterr().out == "check-minor K_{1,1}: not_found (0 nodes, 0 atoms searched)\n"
+    for n in (MAX_VERTICES + 1, 9223372036854775807):
+        g.write_text(text % n)
+        tracemalloc.start()
+        try:
+            assert main(["check-minor", str(g), "--s", "1", "--t", "1"]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        err = f"line 1: vertex count n={n}" if text[0] == "n" else f"vertex_count {n}"
+        assert capsys.readouterr() == ("", f"kstlab: error: {err} is too large\n")
 
 
 def test_check_lcolor_exit_codes(paths, capsys):

@@ -387,11 +387,12 @@ def test_edge_list_error_reports_line_numbers():
     ("n=3 m=1\n0 --2\n", "line 2: non-integer endpoint in '0 --2'"),
     # '-' is still read, so these keep their messages
     ("n=-1 m=0\n", "line 1: negative count in header"),
-    # a count too large to index a list is refused before any list is built
+    # a count above the cap is refused before any list is built
     ("n=100000000000000000000 m=0\n",
      "line 1: vertex count n=100000000000000000000 is too large"),
     ("# big\nn=9223372036854775808 m=0\n",
      "line 2: vertex count n=9223372036854775808 is too large"),
+    ("n=1048577 m=0\n", "line 1: vertex count n=1048577 is too large"),
     ("n=3 m=0\nA=-1\n", "line 2: A-vertex -1 out of range"),
     ("n=3 m=1\n0 -2\n", "line 2: edge (0,-2) out of range for n=3"),
 ])

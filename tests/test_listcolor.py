@@ -593,12 +593,58 @@ def test_cores_outside_the_characterisation_are_searched(g):
     _same_tree(g, 2, max_vertices=9)
 
 
-def test_long_odd_cycle_is_searched_without_recursion():
+def test_long_odd_cycle_is_searched_without_recursion(monkeypatch):
     # 1001 kernel vertices, past the default recursion limit of 1000, for the
-    # memo DFS and the enumerator alike.
-    verdict = is_k_choosable(cycle(1001), 2, max_vertices=2000)
+    # memo DFS and the enumerator alike.  The odd-cycle kernel is answered in
+    # closed form, so the enumerator is run on it directly, and its first
+    # leaf is the closed-form answer.
+    g = cycle(1001)
+    pair = frozenset({0, 1})
+    assert lc._bad_assignment_on(g, g.vertex_mask(), 2) == (dict.fromkeys(range(1001), pair), 1)
+    monkeypatch.setattr(lc, "_bad_assignment_on", _refuse_enumerator)
+    verdict = is_k_choosable(g, 2, max_vertices=2000)
     assert not verdict.choosable and verdict.assignments == 1
-    assert find_l_coloring(cycle(1001), verdict.witness) is None
+    assert verdict.witness == uniform_lists(1001, [0, 1])
+    assert find_l_coloring(g, verdict.witness) is None
+
+
+def _refuse_enumerator(*args):
+    raise AssertionError("an odd-cycle kernel should be answered without enumerating")
+
+
+@pytest.mark.parametrize("g", [
+    cycle(3),
+    cycle(5),
+    cycle(7),
+    complete(4),
+    # pendant paths 0-1-2 and 3-4 hang from the 5-cycle 5..9
+    Graph.from_edges(10, [(0, 1), (1, 2), (2, 5), (3, 4), (4, 7),
+                          (5, 6), (6, 7), (7, 8), (8, 9), (9, 5)]),
+], ids=["C3", "C5", "C7", "K4", "C5+paths"])
+def test_odd_cycle_kernels_skip_the_enumerator(g, monkeypatch):
+    # K4's descent ends at the triangle K4 - 0; the pendant paths peel off.
+    monkeypatch.setattr(lc, "_bad_assignment_on", _refuse_enumerator)
+    verdict = _same_tree(g, 2, max_vertices=g.n)
+    assert not verdict.choosable and verdict.assignments == 1
+
+
+def test_odd_cycle_closed_form_is_the_enumerators_first_leaf():
+    # Odd cycles labelled in shuffled order inside a larger vertex set, so
+    # the canonical order does not walk the cycle.
+    rng = random.Random(5)
+    for length in (3, 5, 7, 9, 11):
+        for _ in range(5):
+            ring = rng.sample(range(length + 3), length)
+            g = Graph.from_edges(length + 3, zip(ring, ring[1:] + ring[:1]))
+            mask = sum(1 << v for v in ring)
+            assert lc._odd_cycle(g, mask)
+            assert lc._bad_assignment_on(g, mask, 2) == (
+                dict.fromkeys(sorted(ring), frozenset({0, 1})), 1)
+    # odd order but not one cycle: two disjoint cycles, two triangles sharing
+    # a vertex, a theta; even order: a 6-cycle
+    bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+    for other in (_union(cycle(3), cycle(4)), bowtie, _theta(1, 2, 3), cycle(6)):
+        assert not lc._odd_cycle(other, other.vertex_mask())
 
 
 # --- cross-validation against the brute oracle ---------------------------
