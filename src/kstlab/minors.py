@@ -762,13 +762,7 @@ def find_kst_minor(g: Graph, q: MinorQuery, budget: int | None = None) -> MinorS
     nodes, and so, for s >= 2, is an atom whose circuit rank |E| - |atom| +
     1 is below (s - 1)(t - 1), the circuit rank of K_{s,t}: an atom is
     connected, and the circuit rank never rises under deletion or
-    contraction (``_search`` applies the same bound at every node).  Every
-    atom is a connected subgraph of ``g``, so its circuit rank is at most
-    mu(g) = |E| - |V| + #components, and a host with mu(g) below
-    (s - 1)(t - 1) would skip every atom: for s >= 2 it is answered
-    NOT_FOUND at zero nodes and zero atoms before the split.  Components
-    are counted only when |E| - |V| + 1 is below the bound, so a host that
-    passes it pays for no extra walk.
+    contraction (``_search`` applies the same bound at every node).
     ``budget`` caps the nodes summed over all atoms; exceeding it yields
     BUDGET_EXHAUSTED, and a budget below 1 raises ValueError.  A found model
     is re-verified on ``g``, and a model that fails raises RuntimeError.
@@ -801,16 +795,11 @@ def find_kst_minor(g: Graph, q: MinorQuery, budget: int | None = None) -> MinorS
         raise ValueError(f"budget must be at least 1, got {budget}")
     s, t = q.s, q.t
     k = s + t
-    edges = g.edge_count()
-    if g.n < k or edges < s * t:
+    if g.n < k or g.edge_count() < s * t:
         return MinorSearch(SearchStatus.NOT_FOUND, None, 0, 0)
     adj = g.adj
-    need = (s - 1) * (t - 1)
-    # Every atom's circuit rank is at most the host's (see the docstring).
-    if s > 1 and edges - g.n + 1 < need and edges - g.n + sum(
-            1 for _ in components(adj, g.vertex_mask())) < need:
-        return MinorSearch(SearchStatus.NOT_FOUND, None, 0, 0)
     nodes = searched = 0
+    need = (s - 1) * (t - 1)
     for m in _atom_masks(adj, g.n, s):
         # An atom is connected, so it holds the minor only if its circuit
         # rank |E| - |atom| + 1 reaches (s - 1)(t - 1); for s = 1 that is

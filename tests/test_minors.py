@@ -1393,67 +1393,3 @@ def test_rank_filter_skips_atoms_at_zero_nodes():
     res = find_kst_minor(theta, q)
     assert (res.status, res.nodes_expanded, res.atoms_searched) == (SearchStatus.NOT_FOUND, 0, 0)
     assert find_kst_minor(Graph.from_edges(8, [*ring, (0, 4), (2, 6)]), q).atoms_searched == 1
-
-
-def _refuse_atom_split(*args):
-    raise AssertionError("a host of low circuit rank should be answered before the atom split")
-
-
-def _forest(n, seed):
-    """A random forest on n vertices: each vertex after 0 joins an earlier
-    one or starts a tree of its own."""
-    rng = np.random.default_rng(seed)
-    return Graph.from_edges(n, [(v, int(rng.integers(v))) for v in range(1, n)
-                                if rng.random() < 0.85])
-
-
-@pytest.mark.parametrize("g, s, t", [
-    (path(20), 2, 2),
-    (Graph.from_edges(15, [(v, (v - 1) // 2) for v in range(1, 15)]), 2, 3),
-    (Graph.from_edges(8, [*((v, (v + 1) % 8) for v in range(8)), (0, 4)]), 2, 4),
-    (_forest(30, 1), 3, 3),
-    (_forest(40, 2), 3, 3),
-], ids=["path20-K22", "binary-tree-K23", "C8+chord-K24", "forest30-K33", "forest40-K33"])
-def test_low_host_rank_skips_the_atom_split(g, s, t, monkeypatch):
-    # Each host passes the vertex and edge filter, and its circuit rank
-    # |E| - |V| + #components is below (s - 1)(t - 1).
-    assert g.n >= s + t and g.edge_count() >= s * t
-    assert _cycle_rank(g.adj, g.vertex_mask()) < (s - 1) * (t - 1)
-    monkeypatch.setattr(minors, "_atom_masks", _refuse_atom_split)
-    assert find_kst_minor(g, MinorQuery(s, t)) == MinorSearch(SearchStatus.NOT_FOUND, None, 0, 0)
-
-
-def _find_kst_minor_without_rank_exit(g, q):
-    """``find_kst_minor`` with no budget and without the host's circuit-rank
-    exit: every atom passes the same filters and is searched in turn."""
-    s, t = q.s, q.t
-    if g.n < s + t or g.edge_count() < s * t:
-        return MinorSearch(SearchStatus.NOT_FOUND, None, 0, 0)
-    nodes = searched = 0
-    for m in minors._atom_masks(g.adj, g.n, s):
-        if m.bit_count() < s + t or minors._edges(g.adj, m) - m.bit_count() + 1 < (s - 1) * (t - 1):
-            continue
-        res = _search(g, q, m, None)
-        nodes += res.nodes_expanded
-        searched += 1
-        if res.status is SearchStatus.FOUND:
-            return MinorSearch(res.status, res.model, nodes, searched)
-    return MinorSearch(SearchStatus.NOT_FOUND, None, nodes, searched)
-
-
-def test_host_rank_exit_keeps_every_answer_up_to_6_vertices(all_graph_codes_by_n):
-    # Every labelled graph on at most 5 vertices, and one labelling of each
-    # isomorphism class on 6: whether the exit is taken depends only on the
-    # class, and where it is not, both paths run the same atom loop.
-    queries = [MinorQuery(s, t) for s in (2, 3) for t in range(s, 5)]
-    graphs6 = [graph_from_edge_code(6, c) for c in _one_code_per_isomorphism_class(6)]
-    exits = 0
-    for g in itertools.chain(*all_graph_codes_by_n.values(), graphs6):
-        for q in queries:
-            if q.s + q.t > g.n:
-                continue
-            got = find_kst_minor(g, q)
-            assert got == _find_kst_minor_without_rank_exit(g, q), (g.adj, q)
-            exits += _cycle_rank(g.adj, g.vertex_mask()) < (q.s - 1) * (q.t - 1) \
-                and g.edge_count() >= q.s * q.t
-    assert exits > 0
