@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -637,6 +638,14 @@ def clique_gadget(m: int, n: int) -> Graph:
 # --- glued counterexample ---------------------------------------------------
 
 
+class _CopyIndex(NamedTuple):
+    """What the per-copy checks read of an assembly's graph and lists."""
+
+    b_edges: tuple[tuple[int, int], ...]
+    masks: list[int]
+    b_nbrs: list[tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class CounterexampleAssembly:
     """The glued graph, its list assignment, and the copy bookkeeping.
@@ -644,6 +653,16 @@ class CounterexampleAssembly:
     B occupies vertex ids 0..n-1 (in base-graph B order).  Copy i of the A
     side occupies ids a_ranges[i][0]..a_ranges[i][1]-1, in base-graph A
     order, and corresponds to the B-coloring colorings[i].
+
+    ``proper_on_b`` and ``verify_no_l_coloring_pigeonhole`` read one index,
+    built on first use from ``graph`` and ``lists`` alone (so an assembly
+    made by ``dataclasses.replace`` builds its own): the B edges as pairs
+    i < j, each vertex's list as a color mask (a palette color x is bit x,
+    any other color a bit past the palette), and each vertex's B neighbors
+    as positions.  Masks are shared per distinct list and
+    positions per distinct B row, and every copy repeats one template, so
+    the index holds two references per vertex plus one int per distinct
+    list and one tuple per distinct row.
     """
 
     graph: Graph
@@ -663,6 +682,34 @@ class CounterexampleAssembly:
             index.setdefault(c, i)
         return index
 
+    @cached_property
+    def _index(self) -> _CopyIndex:
+        """The per-copy checks' index (see above), built once per assembly."""
+        n = len(self.base_b)
+        low = (1 << n) - 1
+        adj = self.graph.adj
+        b_edges = tuple((i, j) for i in range(n) for j in bits(adj[i] & low) if i < j)
+        bit = {x: x for x in range(self.palette_size)}
+        mask_of_list: dict[frozenset[int], int] = {}
+        masks = []
+        for lst in self.lists.lists:
+            mask = mask_of_list.get(lst)
+            if mask is None:
+                mask = 0
+                for x in lst:
+                    mask |= 1 << bit.setdefault(x, len(bit))
+                mask_of_list[lst] = mask
+            masks.append(mask)
+        nbrs_of_row: dict[int, tuple[int, ...]] = {}
+        b_nbrs = []
+        for row in adj:
+            row &= low
+            nbrs = nbrs_of_row.get(row)
+            if nbrs is None:
+                nbrs = nbrs_of_row[row] = tuple(bits(row))
+            b_nbrs.append(nbrs)
+        return _CopyIndex(b_edges, masks, b_nbrs)
+
     def copy_index(self, coloring) -> int:
         c = tuple(coloring)
         try:
@@ -672,11 +719,15 @@ class CounterexampleAssembly:
 
     def proper_on_b(self, coloring) -> bool:
         """True iff ``coloring`` (one color per B vertex, in B order) gives
-        the two ends of every B edge of the glued graph different colors."""
+        the two ends of every B edge of the glued graph different colors;
+        ``ValueError`` unless it has one color per B vertex."""
         c = tuple(coloring)
-        low = (1 << len(self.base_b)) - 1
-        return all(c[i] != c[j] for i in range(len(self.base_b))
-                   for j in bits(self.graph.adj[i] & low))
+        if len(c) != len(self.base_b):
+            raise ValueError("coloring length must match |B|")
+        for i, j in self._index.b_edges:
+            if c[i] == c[j]:
+                return False
+        return True
 
     def copy_correspondence(self, i: int) -> dict[int, int]:
         """base-graph vertex id -> glued-graph vertex id for copy i."""
@@ -793,30 +844,37 @@ def verify_no_l_coloring_pigeonhole(
     gives its vertices pairwise distinct colors from their live lists; if
     those lists together hold fewer colors than the clique has vertices,
     there is none (pigeonhole), and True is returned without a search.
-    Otherwise the list-coloring solver decides.  Copies of the gadgets of
-    ``build_gadget``, ``clique_gadget`` and ``tiny_gadget`` always end in
-    the count: their A side is a clique, and an A vertex keeps exactly the
-    palette minus c(B), which has m + n - 1 - n = m - 1 colors for a proper
-    coloring c of the B clique."""
+    The count reads the assembly's index (see ``CounterexampleAssembly``):
+    the live colors of the copy are the OR of ``mask[v] & ~strike(v)``,
+    where ``strike(v)`` has the bit of each color ``coloring`` puts on v's
+    B neighbors, so a copy of m vertices costs one pass over their B
+    positions and no sets.  Otherwise the list-coloring solver decides, on
+    the punched lists as sets.  Copies of the gadgets of ``build_gadget``,
+    ``clique_gadget`` and ``tiny_gadget`` always end in the count: their A
+    side is a clique, and an A vertex keeps exactly the palette minus
+    c(B), which has m + n - 1 - n = m - 1 colors for a proper coloring c of
+    the B clique."""
     c = tuple(coloring)
-    n = len(assembly.base_b)
-    if len(c) != n:
+    if len(c) != len(assembly.base_b):
         raise ValueError("coloring length must match |B|")
     if any(not (0 <= x < assembly.palette_size) for x in c):
         raise ValueError("coloring uses out-of-palette colors")
     if not assembly.proper_on_b(c):
         raise ValueError("coloring must be proper on B")
-    g = assembly.graph
-    i = assembly.copy_index(c)
-    start, stop = assembly.a_ranges[i]
-    punched = []
+    start, stop = assembly.a_ranges[assembly.copy_index(c)]
+    _, masks, b_nbrs = assembly._index
+    color_bit = [1 << x for x in c]
+    live = 0
     for v in range(start, stop):
-        live = set(assembly.lists.lists[v])
-        for b in bits(g.adj[v] & ((1 << n) - 1)):
-            live.discard(c[b])
-        punched.append(frozenset(live))
-    if is_clique(g, range(start, stop)) and len(frozenset().union(*punched)) < stop - start:
+        strike = 0
+        for b in b_nbrs[v]:
+            strike |= color_bit[b]
+        live |= masks[v] & ~strike
+    g = assembly.graph
+    if live.bit_count() < stop - start and is_clique(g, range(start, stop)):
         return True
+    lists = assembly.lists.lists
+    punched = [lists[v].difference([c[b] for b in b_nbrs[v]]) for v in range(start, stop)]
     sub, _ = induced_subgraph(g, range(start, stop))
     return find_l_coloring(sub, ListAssignment.of_lists(punched)) is None
 

@@ -20,7 +20,9 @@ Oracle notes per section:
 * the pigeonhole verifier is exercised on every proper coloring of the
   fixtures' B-cliques and on copies of a sampled gadget, each compared with
   the exhaustive list-coloring solver on B plus the copy, and the assembled
-  graph is additionally given to that solver.
+  graph is additionally given to that solver; on random gadgets and
+  doctored lists it is compared with the set-based check it replaced, kept
+  here as ``_pigeonhole_reference``.
 """
 
 from __future__ import annotations
@@ -896,6 +898,16 @@ def test_proper_on_b_reads_the_glued_b_edges(tiny_assembly):
     assert all(asm.proper_on_b(c) for c in asm.colorings)
 
 
+def test_proper_on_b_rejects_wrong_length(tiny_assembly):
+    # a gadget whose B side has no edge has no pair to compare, so only the
+    # length check can refuse a coloring of the wrong size
+    h = Graph.from_edges(3, [(0, 1), (0, 2)], ("A", "B", "B"))
+    for asm in (tiny_assembly, build_counterexample(h, 2, "all")):
+        for c in [(0,), (0, 1, 1), ()]:
+            with pytest.raises(ValueError, match=r"^coloring length must match \|B\|$"):
+                asm.proper_on_b(c)
+
+
 def test_pigeonhole_rejects_improper_coloring(tiny_assembly):
     with pytest.raises(ValueError):
         verify_no_l_coloring_pigeonhole(tiny_assembly, (1, 1))
@@ -1003,6 +1015,153 @@ def test_pigeonhole_solver_decides_when_b_is_not_a_clique(solver_calls):
         blocked = verify_no_l_coloring_pigeonhole(asm, c)
         assert blocked == (not _copy_colorable(asm, c)) == (c[0] != c[1])
     assert len(solver_calls) == 3  # one per repeated colour
+
+
+def _pigeonhole_reference(assembly, coloring):
+    """The set-based verifier the color-mask index replaced: each call reads
+    B's properness from the glued rows and rebuilds every A vertex's live
+    list as a set."""
+    c = tuple(coloring)
+    n = len(assembly.base_b)
+    if len(c) != n:
+        raise ValueError("coloring length must match |B|")
+    if any(not (0 <= x < assembly.palette_size) for x in c):
+        raise ValueError("coloring uses out-of-palette colors")
+    g = assembly.graph
+    low = (1 << n) - 1
+    if not all(c[i] != c[j] for i in range(n) for j in construction.bits(g.adj[i] & low)):
+        raise ValueError("coloring must be proper on B")
+    start, stop = assembly.a_ranges[assembly.copy_index(c)]
+    punched = []
+    for v in range(start, stop):
+        live = set(assembly.lists.lists[v])
+        for b in construction.bits(g.adj[v] & low):
+            live.discard(c[b])
+        punched.append(frozenset(live))
+    if is_clique(g, range(start, stop)) and len(frozenset().union(*punched)) < stop - start:
+        return True
+    sub, _ = induced_subgraph(g, range(start, stop))
+    return find_l_coloring(sub, ListAssignment.of_lists(punched)) is None
+
+
+def _verdict(verify, asm, c):
+    try:
+        return verify(asm, c)
+    except (ValueError, KeyError) as err:
+        return type(err), str(err)
+
+
+def _side_edges(draw, part, clique):
+    pairs = list(itertools.combinations(part, 2))
+    if clique:
+        return pairs
+    return draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs) - 1))
+
+
+@st.composite
+def _two_sided_gadgets(draw, b_clique=None):
+    """Labeled gadgets with 2-5 A and 1-3 B vertices, interleaved in id
+    order, random cross edges, and the A side or the B side (or both) not a
+    clique; ``b_clique=False`` asks for the B side not to be one."""
+    m, n = draw(st.integers(2, 5)), draw(st.integers(1 if b_clique is None else 2, 3))
+    if b_clique is None:
+        b_clique = n == 1 or draw(st.booleans())
+    a_clique = not b_clique and draw(st.booleans())
+    labels = draw(st.permutations(["A"] * m + ["B"] * n))
+    a_part = [v for v, lab in enumerate(labels) if lab == "A"]
+    b_part = [v for v, lab in enumerate(labels) if lab == "B"]
+    cross = list(itertools.product(a_part, b_part))
+    edges = (_side_edges(draw, a_part, a_clique) + _side_edges(draw, b_part, b_clique)
+             + draw(st.lists(st.sampled_from(cross), unique=True)))
+    return Graph.from_edges(m + n, edges, labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=_two_sided_gadgets(), data=st.data())
+def test_pigeonhole_matches_set_reference(h, data):
+    m, n = len(h.part("A")), len(h.part("B"))
+    palette = m + n - 1
+    if data.draw(st.booleans(), label="all") and palette ** n <= 100:
+        colorings = "all"
+    else:
+        colorings = data.draw(st.lists(st.tuples(*[st.integers(0, palette - 1)] * n),
+                                       min_size=1, max_size=6), label="colorings")
+    asm = build_counterexample(h, palette, colorings)
+    first = asm.colorings[0]
+    # improper, wrong-length, out-of-palette and copy-less colorings too
+    asked = list(dict.fromkeys(asm.colorings)) + [
+        first[:-1], first + (0,), (palette,) * n, (-1,) * n,
+        data.draw(st.tuples(*[st.integers(0, palette - 1)] * n), label="extra")]
+    for c in asked:
+        assert _verdict(verify_no_l_coloring_pigeonhole, asm, c) \
+            == _verdict(_pigeonhole_reference, asm, c)
+    # the index is built now; doctored lists go to a new assembly, which
+    # must read its own lists: a punched color restored, a color outside the
+    # palette, a negative color, an emptied list
+    lists = list(asm.lists.lists)
+    changes = data.draw(st.lists(st.tuples(st.integers(n, asm.graph.n - 1),
+                                           st.sampled_from(["restore", "outside",
+                                                            "negative", "empty"])),
+                                 min_size=1, max_size=4), label="changes")
+    for v, how in changes:
+        if how == "restore":
+            lists[v] |= {min(set(range(palette)) - lists[v], default=0)}
+        elif how == "outside":
+            lists[v] |= {palette + v}
+        elif how == "negative":
+            lists[v] |= {-1 - v}
+        else:
+            lists[v] = frozenset()
+    doctored = dataclasses.replace(asm, lists=ListAssignment(tuple(lists)))
+    for c in asked:
+        assert _verdict(verify_no_l_coloring_pigeonhole, doctored, c) \
+            == _verdict(_pigeonhole_reference, doctored, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=_two_sided_gadgets(b_clique=False))
+def test_proper_on_b_matches_every_ordered_pair(h):
+    m, n = len(h.part("A")), len(h.part("B"))
+    asm = build_counterexample(h, m + n - 1, "all", max_vertices=10_000)
+    for c in asm.colorings:
+        assert asm.proper_on_b(c) == all(c[i] != c[j] for i in range(n) for j in range(n)
+                                         if asm.graph.has_edge(i, j))
+
+
+def test_pigeonhole_reads_a_replaced_graph(solver_calls):
+    # the original assembly's index is built first; an assembly whose graph
+    # lost an edge of copy (0, 1) must read its own graph.  With the A-A edge
+    # gone the copy is no clique, and with a2-b1 gone a2 keeps color 0: the
+    # count no longer blocks either, and the solver colors both copies
+    asm = build_counterexample(tiny_gadget(), 3, "all")
+    c = (0, 1)
+    assert verify_no_l_coloring_pigeonhole(asm, c)
+    lo, _hi = asm.a_ranges[asm.copy_index(c)]
+    for u, v in [(lo, lo + 1), (lo + 1, 0)]:
+        adj = list(asm.graph.adj)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        cut = dataclasses.replace(asm, graph=Graph(asm.graph.n, tuple(adj), asm.graph.labels))
+        assert not verify_no_l_coloring_pigeonhole(cut, c)
+        assert _pigeonhole_reference(cut, c) is False
+        assert _copy_colorable(cut, c)
+    assert len(solver_calls) == 2
+    assert verify_no_l_coloring_pigeonhole(asm, c)
+
+
+def test_pigeonhole_counts_each_color_outside_the_palette():
+    # both A vertices of copy (0, 1) trade their lists for one color outside
+    # the palette each, and not the same one: two live colors for two
+    # vertices, so the count must not block, and the solver colors the copy
+    asm = build_counterexample(tiny_gadget(), 3, "all")
+    c = (0, 1)
+    assert verify_no_l_coloring_pigeonhole(asm, c)
+    lo, _hi = asm.a_ranges[asm.copy_index(c)]
+    lists = list(asm.lists.lists)
+    lists[lo], lists[lo + 1] = frozenset({3}), frozenset({-1})
+    doctored = dataclasses.replace(asm, lists=ListAssignment(tuple(lists)))
+    assert not verify_no_l_coloring_pigeonhole(doctored, c)
+    assert _pigeonhole_reference(doctored, c) is False
 
 
 # --- the lower bound ---------------------------------------------------------------
