@@ -44,26 +44,19 @@ from .listcolor import ListAssignment, find_l_coloring
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+    if not isinstance(x, (Fraction, int, str)):
+        raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+    return Fraction(x)
 
 
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _n_too_large(n: int) -> ValueError:
-    """The usage error for an n whose float arithmetic overflows."""
-    return ValueError(f"n >= 2**{n.bit_length() - 1} is too large for float arithmetic")
+def _in_float(n: int, compute):
+    """``compute()``, float arithmetic on n; an overflow is the usage error
+    for too large an n."""
+    try:
+        return compute()
+    except OverflowError:
+        raise ValueError(
+            f"n >= 2**{n.bit_length() - 1} is too large for float arithmetic") from None
 
 
 # enumeration nodes the exhaustive block-property check may visit
@@ -118,15 +111,12 @@ class GadgetParams:
     def derive(cls, epsilon, c_const) -> "GadgetParams":
         epsilon = _frac(epsilon)
         c_const = _frac(c_const)
-        f = _ceil(c_const / epsilon)
+        f = math.ceil(c_const / epsilon)
         delta = epsilon ** 2 / (4 * c_const ** 2)
         return cls(epsilon, c_const, f, delta)
 
     def edge_probability(self, n: int) -> float:
-        try:
-            return float(n) ** (-float(self.delta))
-        except OverflowError:
-            raise _n_too_large(n) from None
+        return _in_float(n, lambda: float(n) ** (-float(self.delta)))
 
 
 # --- sampling and the two structural properties --------------------------
@@ -251,7 +241,7 @@ def _side_a(n: int, params: GadgetParams) -> int:
     it is at least n."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _floor(params.c_const * n)
+    return math.floor(params.c_const * n)
 
 
 def _draw(ma: int, n: int, p: float, seed: int) -> np.ndarray:
@@ -443,7 +433,7 @@ def check_block_property(g: Graph, max_block_size: int, epsilon, n: int) -> Bloc
     refuse (``EnumerationCapError``) beyond ``_BLOCK_NODE_CAP`` of them.
     """
     epsilon = _frac(epsilon)
-    k = _ceil(epsilon * n)
+    k = math.ceil(epsilon * n)
     if k < 1:
         raise ValueError("ceil(epsilon * n) must be at least 1")
     a_part = list(g.part(LABEL_A))
@@ -498,11 +488,8 @@ def block_failure_exponent(n: int, epsilon, c_const, max_block_size: int, delta)
     f = max_block_size
     if n < 1:
         raise ValueError(f"failure exponents need n >= 1, got n={n}")
-    try:
-        return math.log((c + 1) * n + 1) * (c + 1) * n \
-            - epsilon ** 2 * float(n) ** (2 - f * f * d)
-    except OverflowError:
-        raise _n_too_large(n) from None
+    return _in_float(n, lambda: math.log((c + 1) * n + 1) * (c + 1) * n
+                     - epsilon ** 2 * float(n) ** (2 - f * f * d))
 
 
 def degree_failure_exponent(n: int, c_const, delta) -> float:
@@ -512,10 +499,7 @@ def degree_failure_exponent(n: int, c_const, delta) -> float:
     d = float(_frac(delta))
     if n < 1:
         raise ValueError(f"failure exponents need n >= 1, got n={n}")
-    try:
-        return math.log((c + 1) * n) - float(n) ** (1 - d) / 3
-    except OverflowError:
-        raise _n_too_large(n) from None
+    return _in_float(n, lambda: math.log((c + 1) * n) - float(n) ** (1 - d) / 3)
 
 
 # --- gadget construction ---------------------------------------------------
@@ -585,7 +569,7 @@ def build_gadget(
     exactly a sampled cross edge.  Retry r uses a seed derived from
     (seed, r); all attempts are reported.
     """
-    ma = _floor(params.c_const * n)
+    ma = _side_a(n, params)
     if not (1 <= n <= m <= ma):
         raise ValueError("require 1 <= n <= m <= floor(C*n)")
     if max_retries < 1:
@@ -601,7 +585,7 @@ def build_gadget(
         attempts.append(SampleReport(s, n, ma, p, deg, blocks))
         if deg.passed and blocks.status == "verified":
             h = _gadget(gp, m, ma)
-            limit = _ceil(params.epsilon * n)
+            limit = math.ceil(params.epsilon * n)
             for v in range(h.n):
                 if non_neighbor_count(h, v) > limit:
                     raise RuntimeError(
@@ -902,8 +886,8 @@ def choosability_lower_bound(s: int, t: int, epsilon) -> LowerBound:
     if not (1 <= s <= t):
         raise ValueError("require 1 <= s <= t")
     n = s - 1
-    m = _floor((1 - epsilon) * (s + t))
-    value = m + n - _ceil(epsilon / 2 * n)
+    m = math.floor((1 - epsilon) * (s + t))
+    value = m + n - math.ceil(epsilon / 2 * n)
     target = (1 - epsilon) * (2 * s + t)
     return LowerBound(value, target, Fraction(value) > target)
 
@@ -952,12 +936,8 @@ def degree_property_sweep(
     if not ns:
         raise ValueError("the sweep needs at least one size n")
     _check_seed(seed)
-    epsilon = _frac(epsilon)
-    c_const = _frac(c_const)
     if delta is None:
         delta = GadgetParams.derive(epsilon, c_const).delta
-    else:
-        delta = _frac(delta)
     params = GadgetParams(epsilon, c_const, 1, delta)
 
     bitgen = np.random.PCG64(0)
@@ -968,7 +948,7 @@ def degree_property_sweep(
         ma = _side_a(n, params)
         p = params.edge_probability(n)
         # an integer degree d has d <= epsilon * n iff d <= floor(epsilon * n)
-        bound = _floor(epsilon * n)
+        bound = math.floor(params.epsilon * n)
         buf = np.empty((min(trials, max(1, _DRAW_BYTES // (ma * n))), ma, n), bool)
         noise = np.empty((ma, n))
         # degrees are at most max(ma, n), so the sums fit this dtype

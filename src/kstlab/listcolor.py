@@ -41,12 +41,11 @@ a classical theorem already answers:
    recognises the even cycles and theta_{2,2,2m} among them by counting
    edges and degrees.  When every component passes, the search for that
    kernel is skipped and no bad assignment is reported, which is what the
-   complete search of reductions 1-3 would return.  A kernel that is one
-   odd cycle is never 2-choosable, and its bad assignment is written down
-   without enumerating: it is the one the enumerator decides first (see
-   ``is_k_choosable``).  Every other kernel that fails the test is searched
-   exactly as before, in the same order, so verdicts, witnesses and
-   assignment counts do not depend on this reduction.
+   complete search of reductions 1-3 would return.  The same walk finds a
+   kernel that is one odd cycle, whose bad assignment is the enumerator's
+   first leaf (argument in ``_two_choosable_core``).  Every other kernel is
+   searched exactly as before, in the same order, so verdicts, witnesses
+   and assignment counts do not depend on this reduction.
 
 Leaves of the enumeration are decided on color-class bitmasks.  The search
 keeps the host's adjacency restricted to the kernel, the lists as color
@@ -75,7 +74,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .graph import Graph, bits, closure, components
+from .graph import Graph, bits, components
 
 
 @dataclass(frozen=True)
@@ -302,18 +301,45 @@ def _kernel_mask(g: Graph, mask: int, k: int) -> int:
     return mask
 
 
-def _two_choosable_core(g: Graph, mask: int) -> bool:
-    """True iff every component of g[mask] is an even cycle or theta_{2,2,2m}.
+# What ``_two_choosable_core`` finds in a k = 2 kernel; None is neither case.
+_CORE, _ODD_CYCLE = "core", "odd cycle"
 
-    ``mask`` must induce minimum degree at least 2 (a k = 2 kernel).  Such a
-    component with |E| = |V| is a cycle.  One with |E| = |V| + 1 and maximum
-    degree 3 has exactly two vertices u, w of degree 3 and is either a theta
-    (three internally disjoint u-w paths) or two cycles joined by a u-w path.
-    u and w have two common neighbours only in a theta with two paths of
-    length 2, whose third path has |V| - 3 edges.  So the component is
-    theta_{2,2,2m} (bipartite, u and w non-adjacent) iff |V| is odd.  Even
-    cycles have |E| = |V| and theta_{2,2,2m} has |E| = |V| + 1 and maximum
-    degree 3, so no other component passes.
+
+def _two_choosable_core(g: Graph, mask: int) -> str | None:
+    """``_CORE`` if every component of g[mask] is an even cycle or
+    theta_{2,2,2m}, ``_ODD_CYCLE`` if g[mask] is one odd cycle, else None.
+
+    ``mask`` must induce minimum degree at least 2 (a k = 2 kernel), and one
+    walk over its components reads each case off their degrees.  A component
+    with degree sum 2|V| is a cycle, and it is all of g[mask] when it equals
+    ``mask``.  One with degree sum 2|V| + 2 and maximum degree 3 has exactly
+    two vertices u, w of degree 3 and is either a theta (three internally
+    disjoint u-w paths) or two cycles joined by a u-w path.  u and w have
+    two common neighbours only in a theta with two paths of length 2, whose
+    third path has |V| - 3 edges.  So the component is theta_{2,2,2m}
+    (bipartite, u and w non-adjacent) iff |V| is odd.  Even cycles have
+    |E| = |V| and theta_{2,2,2m} has |E| = |V| + 1 and maximum degree 3, so
+    no other component passes.
+
+    ``_CORE`` kernels are 2-choosable (reduction 4 of the module docstring).
+    An ``_ODD_CYCLE`` kernel is not, and its bad assignment is the list
+    {0, 1} at every vertex, counted as one assignment: that is exactly the
+    enumerator's first leaf, so ``is_k_choosable`` writes it down without
+    enumerating.  Deleting any vertex of the cycle leaves a path, whose
+    kernel is empty, so the memo search enumerates the cycle itself.  The
+    canonical order gives every vertex before the last one, w, the list
+    {0, 1}: the first vertex takes two fresh colors, and each later one the
+    first 2-subset of the colors used, which leaves no color of support 1,
+    so w's first list is {0, 1} as well.  The cycle minus w is a path on an
+    even number of vertices, so any coloring of it from {0, 1} alternates
+    and gives its two ends, w's neighbors, different colors.  Striking
+    color 0, or color 1, from both ends therefore leaves no coloring, so
+    that leaf is bad and the enumerator returns it after deciding one
+    assignment.  Every other kernel is enumerated; bipartite kernels that
+    are not ``_CORE`` are the only ones the enumerator still sees, since a
+    non-bipartite kernel that is not one odd cycle has a vertex off a
+    shortest odd cycle, and the memo search finds a bad assignment below
+    some deletion before enumerating it.
     """
     adj = g.adj
     for comp in components(adj, mask):
@@ -326,38 +352,21 @@ def _two_choosable_core(g: Graph, mask: int) -> bool:
             v = b.bit_length() - 1
             d = (adj[v] & comp).bit_count()
             if d > 3:
-                return False
+                return None
             if d == 3:
                 ends.append(v)
             degree_sum += d
             m ^= b
         if degree_sum == 2 * nv:
             if nv & 1:
-                return False
+                return _ODD_CYCLE if comp == mask else None
         elif degree_sum == 2 * nv + 2:
             u, w = ends
             if (adj[u] & adj[w] & comp).bit_count() < 2 or not nv & 1:
-                return False
+                return None
         else:
-            return False
-    return True
-
-
-def _odd_cycle(g: Graph, mask: int) -> bool:
-    """True iff g[mask] is one cycle of odd length.  ``mask`` must induce
-    minimum degree at least 2 (a k = 2 kernel), so g[mask] is a disjoint
-    union of cycles iff no vertex has degree above 2, and one cycle iff it
-    is also connected."""
-    if not mask.bit_count() & 1:
-        return False
-    adj = g.adj
-    m = mask
-    while m:
-        b = m & -m
-        if (adj[b.bit_length() - 1] & mask).bit_count() != 2:
-            return False
-        m ^= b
-    return closure(adj, mask & -mask, mask) == mask
+            return None
+    return _CORE
 
 
 @lru_cache(maxsize=1024)
@@ -509,26 +518,13 @@ def is_k_choosable(
 ) -> ChoosabilityVerdict:
     """Exact k-choosability by exhaustive adversary enumeration.
 
-    For k = 2, kernels whose components are all even cycles or
-    theta_{2,2,2m} are answered by the Erdos-Rubin-Taylor characterisation
-    without enumerating (reduction 4 of the module docstring).  A kernel
-    that is one odd cycle is answered without enumerating too: its bad
-    assignment is the list {0, 1} at every vertex, counted as one
-    assignment, which is exactly the enumerator's first leaf.  Deleting any
-    vertex of the cycle leaves a path, whose kernel is empty, so the memo
-    search enumerates the cycle itself.  The canonical order gives every
-    vertex before the last one, w, the list {0, 1}: the first vertex takes
-    two fresh colors, and each later one the first 2-subset of the colors
-    used, which leaves no color of support 1, so w's first list is {0, 1}
-    as well.  The cycle minus w is a path on an even number of vertices, so
-    any coloring of it from {0, 1} alternates and gives its two ends, w's
-    neighbors, different colors.  Striking color 0, or color 1, from both
-    ends therefore leaves no coloring, so that leaf is bad and the
-    enumerator returns it after deciding one assignment.  Bipartite kernels
-    that fail the core test are still enumerated, and they are the only
-    kernels the enumerator still sees: a non-bipartite kernel that is not
-    one odd cycle has a vertex off a shortest odd cycle, and the memo search
-    finds a bad assignment below some deletion before enumerating it.
+    For k = 2, one walk of ``_two_choosable_core`` classifies each kernel:
+    one whose components are all even cycles or theta_{2,2,2m} is answered
+    by the Erdos-Rubin-Taylor characterisation (reduction 4 of the module
+    docstring), and one that is a single odd cycle gets the list {0, 1} at
+    every vertex, counted as one assignment, which is the enumerator's
+    first leaf (argument in ``_two_choosable_core``); neither is
+    enumerated.
 
     Every other kernel is enumerated, and each complete assignment is
     decided exactly on color-class bitmasks; since the leaf test is exact
@@ -563,10 +559,10 @@ def is_k_choosable(
         mask = _kernel_mask(g, child, k)
         if mask in memo:
             hit = memo[mask]
-        elif not mask or k == 2 and _two_choosable_core(g, mask):
+        elif not mask or k == 2 and (kind := _two_choosable_core(g, mask)) == _CORE:
             hit = memo[mask] = None
-        elif k == 2 and _odd_cycle(g, mask):
-            # the enumerator's first leaf, decided in closed form (docstring)
+        elif k == 2 and kind == _ODD_CYCLE:
+            # the enumerator's first leaf, in closed form (_two_choosable_core)
             hit = memo[mask] = dict.fromkeys(bits(mask), _PAIR)
             leaves += 1
         else:

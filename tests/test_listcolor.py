@@ -27,8 +27,10 @@ from kstlab.construction import build_counterexample, clique_gadget
 from kstlab.graph import (
     Graph,
     bits,
+    closure,
     complete,
     complete_bipartite,
+    components,
     cycle,
     empty,
     induced_subgraph,
@@ -464,7 +466,7 @@ def _is_k_choosable_reference(g: Graph, k: int, *, core_test: bool = True) -> Ch
             return None
         if mask in memo:
             return memo[mask]
-        if core_test and k == 2 and lc._two_choosable_core(g, mask):
+        if core_test and k == 2 and lc._two_choosable_core(g, mask) == lc._CORE:
             memo[mask] = None
             return None
         hit = None
@@ -490,6 +492,43 @@ def _is_k_choosable_reference(g: Graph, k: int, *, core_test: bool = True) -> Ch
             full.append(frozenset(range(nxt, nxt + k)))
             nxt += k
     return ChoosabilityVerdict(k, False, ListAssignment(tuple(full)), k * g.n, solved)
+
+
+def _two_choosable_core_reference(g: Graph, mask: int) -> bool:
+    """The core test as a yes/no answer, before it also told odd cycles
+    apart: True iff every component of the k = 2 kernel g[mask] is an even
+    cycle or theta_{2,2,2m}."""
+    adj = g.adj
+    for comp in components(adj, mask):
+        nv = comp.bit_count()
+        degrees = {v: (adj[v] & comp).bit_count() for v in bits(comp)}
+        if max(degrees.values()) > 3:
+            return False
+        if sum(degrees.values()) == 2 * nv:
+            if nv & 1:
+                return False
+        elif sum(degrees.values()) == 2 * nv + 2:
+            u, w = (v for v, d in degrees.items() if d == 3)
+            if (adj[u] & adj[w] & comp).bit_count() < 2 or not nv & 1:
+                return False
+        else:
+            return False
+    return True
+
+
+def _odd_cycle_reference(g: Graph, mask: int) -> bool:
+    """The second walk the classifier replaced: True iff the k = 2 kernel
+    g[mask] is one cycle of odd length (odd order, every degree 2,
+    connected)."""
+    return (mask.bit_count() & 1 == 1
+            and all((g.adj[v] & mask).bit_count() == 2 for v in bits(mask))
+            and closure(g.adj, mask & -mask, mask) == mask)
+
+
+def _classify_reference(g: Graph, mask: int) -> str | None:
+    if _two_choosable_core_reference(g, mask):
+        return lc._CORE
+    return lc._ODD_CYCLE if _odd_cycle_reference(g, mask) else None
 
 
 def _theta(*lengths: int) -> Graph:
@@ -628,6 +667,32 @@ def test_odd_cycle_kernels_skip_the_enumerator(g, monkeypatch):
     assert not verdict.choosable and verdict.assignments == 1
 
 
+def test_one_walk_classifies_every_kernel_as_the_two_walks_did():
+    # g[mask] is read only through the edges inside mask, so every graph on
+    # the vertices of a mask stands for every 6-vertex graph it is induced in
+    cases = 0
+    for mask in range(1, 1 << 6):
+        verts = list(bits(mask))
+        pairs = list(itertools.combinations(verts, 2))
+        for code in range(1 << len(pairs)):
+            g = Graph.from_edges(6, [e for i, e in enumerate(pairs) if code >> i & 1])
+            if all((g.adj[v] & mask).bit_count() >= 2 for v in verts):
+                assert lc._two_choosable_core(g, mask) == _classify_reference(g, mask), (g.adj, mask)
+                cases += 1
+    assert cases > 10_000
+    unions = {
+        "C3+C4": (_union(cycle(3), cycle(4)), None),
+        "C4+C3": (_union(cycle(4), cycle(3)), None),
+        "C3+C5": (_union(cycle(3), cycle(5)), None),
+        "theta222+C3": (_union(_theta(2, 2, 2), cycle(3)), None),
+        "C3+theta222": (_union(cycle(3), _theta(2, 2, 2)), None),
+        "C4+theta224": (_union(cycle(4), _theta(2, 2, 4)), lc._CORE),
+    }
+    for name, (g, want) in unions.items():
+        got = lc._two_choosable_core(g, g.vertex_mask())
+        assert got == _classify_reference(g, g.vertex_mask()) == want, name
+
+
 def test_odd_cycle_closed_form_is_the_enumerators_first_leaf():
     # Odd cycles labelled in shuffled order inside a larger vertex set, so
     # the canonical order does not walk the cycle.
@@ -637,14 +702,14 @@ def test_odd_cycle_closed_form_is_the_enumerators_first_leaf():
             ring = rng.sample(range(length + 3), length)
             g = Graph.from_edges(length + 3, zip(ring, ring[1:] + ring[:1]))
             mask = sum(1 << v for v in ring)
-            assert lc._odd_cycle(g, mask)
+            assert lc._two_choosable_core(g, mask) == lc._ODD_CYCLE
             assert lc._bad_assignment_on(g, mask, 2) == (
                 dict.fromkeys(sorted(ring), frozenset({0, 1})), 1)
     # odd order but not one cycle: two disjoint cycles, two triangles sharing
     # a vertex, a theta; even order: a 6-cycle
     bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
     for other in (_union(cycle(3), cycle(4)), bowtie, _theta(1, 2, 3), cycle(6)):
-        assert not lc._odd_cycle(other, other.vertex_mask())
+        assert lc._two_choosable_core(other, other.vertex_mask()) != lc._ODD_CYCLE
 
 
 # --- cross-validation against the brute oracle ---------------------------
