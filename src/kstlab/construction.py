@@ -49,6 +49,16 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
+def _slack_and_ratio(epsilon, c_const) -> tuple[Fraction, Fraction]:
+    """epsilon and C as Fractions, refused unless 0 < epsilon < 1 and C >= 1."""
+    epsilon, c_const = _frac(epsilon), _frac(c_const)
+    if not (0 < epsilon < 1):
+        raise ValueError("epsilon must lie in (0, 1)")
+    if c_const < 1:
+        raise ValueError("C must be at least 1")
+    return epsilon, c_const
+
+
 def _in_float(n: int, compute):
     """``compute()``, float arithmetic on n; an overflow is the usage error
     for too large an n."""
@@ -66,6 +76,13 @@ _BLOCK_NODE_CAP = 2_000_000
 # (which holds at least one draw)
 _SEED_BLOCK = 1024
 _DRAW_BYTES = 1 << 16
+# cells (A-vertices times B-vertices) one draw may hold: its noise is float64,
+# so this is 1 GiB, refused before anything is allocated
+_MAX_DRAW_CELLS = 1 << 27
+# bytes of adjacency rows an assembly may need: a glued vertex's row is about
+# as many bits wide as its id, so n vertices need about n**2 / 16 bytes, and
+# this caps an assembly at about 131,000 vertices
+_MAX_ASSEMBLY_ROW_BYTES = 1 << 30
 
 
 class EnumerationCapError(ValueError):
@@ -73,7 +90,7 @@ class EnumerationCapError(ValueError):
 
 
 class AssemblyCapError(ValueError):
-    """A counterexample assembly would exceed the vertex cap."""
+    """A counterexample assembly would exceed the vertex or row-memory cap."""
 
 
 @dataclass(frozen=True)
@@ -93,13 +110,10 @@ class GadgetParams:
     delta: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", _frac(self.epsilon))
-        object.__setattr__(self, "c_const", _frac(self.c_const))
+        epsilon, c_const = _slack_and_ratio(self.epsilon, self.c_const)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "c_const", c_const)
         object.__setattr__(self, "delta", _frac(self.delta))
-        if not (0 < self.epsilon < 1):
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.c_const < 1:
-            raise ValueError("C must be at least 1")
         if self.max_block_size < 1:
             raise ValueError("max_block_size must be positive")
         if not (0 < self.delta < 1):
@@ -109,8 +123,7 @@ class GadgetParams:
 
     @classmethod
     def derive(cls, epsilon, c_const) -> "GadgetParams":
-        epsilon = _frac(epsilon)
-        c_const = _frac(c_const)
+        epsilon, c_const = _slack_and_ratio(epsilon, c_const)
         f = math.ceil(c_const / epsilon)
         delta = epsilon ** 2 / (4 * c_const ** 2)
         return cls(epsilon, c_const, f, delta)
@@ -238,10 +251,16 @@ def _seed_block(seed: int, n: int, lo: int, hi: int) -> tuple[list[int], list[di
 
 def _side_a(n: int, params: GadgetParams) -> int:
     """floor(C*n), the A-side size of a draw with n B-vertices; C >= 1, so
-    it is at least n."""
+    it is at least n.  A draw of more than ``_MAX_DRAW_CELLS`` cells is
+    refused."""
     if n < 1:
         raise ValueError("n must be positive")
-    return math.floor(params.c_const * n)
+    ma = math.floor(params.c_const * n)
+    if ma * n > _MAX_DRAW_CELLS:
+        _in_float(n, lambda: float(n))  # an n past float range says so first
+        raise ValueError(f"a floor(C*n) x n draw of {ma} x {n} cells is above "
+                         f"the cap of {_MAX_DRAW_CELLS} cells; lower C or n")
+    return ma
 
 
 def _draw(ma: int, n: int, p: float, seed: int) -> np.ndarray:
@@ -737,7 +756,9 @@ def build_counterexample(
     exactly the colors c gives to its non-neighbors inside B.  With
     colorings='all', every map B -> palette gets a copy (palette**n copies);
     an explicit list of colorings builds just those copies.  Refuses to build
-    beyond ``max_vertices`` total vertices.
+    beyond ``max_vertices`` total vertices, or beyond about
+    ``_MAX_ASSEMBLY_ROW_BYTES`` of adjacency rows (about total**2 / 16 bytes,
+    so about 131,000 vertices).
     """
     if h.labels is None:
         raise ValueError("gadget must carry A/B labels")
@@ -761,6 +782,10 @@ def build_counterexample(
     if total > max_vertices:
         raise AssemblyCapError(
             f"assembly needs {total} vertices ({count} copies), cap is {max_vertices}")
+    if total * total // 16 > _MAX_ASSEMBLY_ROW_BYTES:
+        raise AssemblyCapError(
+            f"assembly needs about {total * total // 16} bytes of adjacency rows "
+            f"({total} vertices), cap is {_MAX_ASSEMBLY_ROW_BYTES}")
 
     # Per base A vertex: its B row, its A row over A positions (shifted to
     # each copy's start), and the B positions it misses, whose colors its

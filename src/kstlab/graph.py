@@ -32,7 +32,7 @@ class GraphFormatError(ValueError):
 
 
 class DuplicateEdgeWarning(UserWarning):
-    """A parsed edge list repeated an edge; duplicates are merged."""
+    """A parsed edge list or JSON graph repeated an edge; duplicates are merged."""
 
 
 class CliqueGlueError(ValueError):
@@ -492,6 +492,9 @@ def from_json_dict(data: dict) -> Graph:
             raise GraphFormatError(f"edge entry {i}: edge ({u},{v}) out of range for n={n}")
         if u == v:
             raise GraphFormatError(f"edge entry {i}: loop at vertex {u} rejected")
+        if (adj[u] >> v) & 1:
+            warnings.warn(f"edge entry {i}: duplicate edge ({u},{v}) merged",
+                          DuplicateEdgeWarning, stacklevel=2)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     if labels is not None and not isinstance(labels, list):

@@ -435,6 +435,28 @@ def test_oversized_n_is_a_usage_error(capsys, argv, bits):
     assert capsys.readouterr() == ("", TOO_LARGE % bits)
 
 
+# epsilon and C are checked before derive divides by them, and a draw past
+# the cell cap is refused before its matrix is allocated (9 * 10**12 cells)
+DRAW_CAP = ("a floor(C*n) x n draw of 3000000000000 x 3 cells is above the "
+            "cap of 134217728 cells; lower C or n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["bounds", "--eps", "0", "--C", "1", "--n", "1"], "epsilon must lie in (0, 1)"),
+    (["build-h", "--n", "3", "--m", "3", "--eps", "0", "--C", "1", "--seed", "0"],
+     "epsilon must lie in (0, 1)"),
+    (["experiment", "--n", "3", "--trials", "1", "--seed", "0", "--eps", "1/2", "--C", "0"],
+     "C must be at least 1"),
+    (["experiment", "--n", "3", "--trials", "1", "--seed", "0", "--eps", "1/2",
+      "--C", "1000000000000", "--delta", "1/2"], DRAW_CAP),
+    (["build-h", "--n", "3", "--m", "3", "--eps", "1/2", "--C", "1000000000000",
+      "--delta", "1/2", "--seed", "0"], DRAW_CAP),
+])
+def test_bad_construction_parameters_are_usage_errors(capsys, argv, err):
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"kstlab: error: {err}\n")
+
+
 # runpy warns that kstlab.cli is already imported before it runs it again
 @pytest.mark.filterwarnings("ignore:'kstlab.cli' found in sys.modules:RuntimeWarning")
 @pytest.mark.parametrize("module", ["kstlab", "kstlab.cli"])

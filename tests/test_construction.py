@@ -31,6 +31,7 @@ import dataclasses
 import itertools
 import math
 import re
+import time
 from fractions import Fraction as F
 
 import mpmath
@@ -108,6 +109,11 @@ def test_params_validation():
         GadgetParams(F(1, 2), F(1), 2, F(1, 2))     # f^2 * delta = 2 >= 1
     with pytest.raises(TypeError):
         GadgetParams(0.5, 1, 1, 0.25)               # floats rejected
+    # derive divides by epsilon and C only after the same range checks
+    with pytest.raises(ValueError, match="^epsilon must lie in \\(0, 1\\)$"):
+        GadgetParams.derive(0, 1)
+    with pytest.raises(ValueError, match="^C must be at least 1$"):
+        GadgetParams.derive(F(1, 2), 0)
     # ints and rational strings are read exactly
     assert GadgetParams(F(1, 2), 1, 1, "1/2") == GadgetParams(F(1, 2), F(1), 1, F(1, 2))
 
@@ -775,6 +781,20 @@ def test_assembly_cap_refusal():
     with pytest.raises(AssemblyCapError) as err:
         build_counterexample(tiny_gadget(), 3, "all", max_vertices=10)
     assert "9" in str(err.value)  # required copy count is reported
+
+
+def test_assembly_row_memory_cap_refuses_before_building():
+    # 59,049 copies, 295,250 vertices: under the vertex cap, but the glued
+    # rows would need about 5.4 GB, so the byte cap refuses before any row
+    started = time.perf_counter()
+    with pytest.raises(AssemblyCapError, match=(
+            "^assembly needs about 5448285156 bytes of adjacency rows "
+            "\\(295250 vertices\\), cap is 1073741824$")):
+        build_counterexample(clique_gadget(5, 5), 9, "all")
+    assert time.perf_counter() - started < 1
+    # the vertex cap is checked first, so its refusals keep their message
+    with pytest.raises(AssemblyCapError, match="^assembly needs 295250 vertices"):
+        build_counterexample(clique_gadget(5, 5), 9, "all", max_vertices=200_000)
 
 
 def test_assembly_rejects_wrong_palette():

@@ -428,9 +428,13 @@ def test_edge_list_integers_may_have_leading_zeros():
 
 
 def test_duplicate_edge_warning():
-    with pytest.warns(DuplicateEdgeWarning):
-        g = from_edge_list("n=3 m=2\n0 1\n1 0\n")
-    assert g.edge_count() == 1
+    # both readers merge a repeated edge and name where it repeats
+    for text, where in [("n=3 m=2\n0 1\n1 0\n", "line 3"),
+                        ('{"vertex_count": 3, "edges": [[0, 1], [1, 0]]}', "edge entry 1")]:
+        with pytest.warns(DuplicateEdgeWarning) as caught:
+            g = parse(text)
+        assert [str(w.message) for w in caught] == [f"{where}: duplicate edge (1,0) merged"]
+        assert g.edge_count() == 1
 
 
 def test_edge_list_label_line():
