@@ -129,6 +129,9 @@ class GadgetParams:
         return cls(epsilon, c_const, f, delta)
 
     def edge_probability(self, n: int) -> float:
+        """n**(-delta), for n >= 1."""
+        if n < 1:
+            raise ValueError(f"the edge probability needs n >= 1, got n={n}")
         return _in_float(n, lambda: float(n) ** (-float(self.delta)))
 
 

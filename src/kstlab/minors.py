@@ -6,10 +6,14 @@ and a side of t, with at least one host edge between every cross pair.
 ``find_kst_minor`` is an exact backtracking search over such models
 (``_search``); for s = 1 it enumerates connected centre sets instead
 (``_star_search``), as a K_{1,t} model is a connected set with t vertices
-next to it.  ``oracle_has_minor`` is an independent brute-force check used
-to validate both on small hosts; it enumerates branch-class assignments up
-to the twin symmetry of the pattern, one per orbit.  Witnesses are always
-re-verified before being returned.
+next to it.  For s >= 2 each atom first gets one deterministic contraction
+probe (``_probe``): it contracts edges down to s + t super-vertices and
+splits those by the exact zero-slack test, and a hit is a model found at
+zero search nodes; a miss leaves the search to run as it would without it.
+``oracle_has_minor`` is an independent brute-force check used to validate
+both on small hosts; it enumerates branch-class assignments up to the twin
+symmetry of the pattern, one per orbit.  Witnesses are always re-verified
+before being returned.
 """
 
 from __future__ import annotations
@@ -70,10 +74,12 @@ class SearchStatus(Enum):
 class MinorSearch:
     """Outcome of a search.  ``nodes_expanded`` is summed over the atoms
     searched: branch-set search nodes for s >= 2, connected centre sets
-    examined for s = 1.  ``atoms_searched`` counts the atoms that reached
-    ``_search`` or ``_star_search`` (atoms with too few vertices or, for
-    s >= 2, too low a circuit rank to hold the minor are skipped; for s = 1
-    an atom the root bound decides at zero nodes still counts)."""
+    examined for s = 1; a contraction probe is not a node.
+    ``atoms_searched`` counts the atoms that reached ``_probe`` and
+    ``_search``, or ``_star_search`` (atoms with too few vertices or, for
+    s >= 2, too low a circuit rank to hold the minor are skipped; an atom
+    the probe answers, or for s = 1 the root bound decides, at zero nodes
+    still counts)."""
 
     status: SearchStatus
     model: BranchModel | None
@@ -281,29 +287,7 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
             for j in range(s, k):
                 if cmask[j]:
                     fit1 &= cnbr[j]
-            # Two undecided vertices with no edge open sets on one side, so
-            # each component of the complement of G[und] goes whole to a side
-            # it fits.  Bit x of ``sums`` is set when x vertices can go to
-            # side 1; the node lives iff that can fill its empty side-1 sets.
-            sums = 1
-            rest = und
-            while rest:
-                comp = todo = rest & -rest
-                rest ^= comp
-                while todo:
-                    u = todo & -todo
-                    todo ^= u
-                    new = rest & ~adj[u.bit_length() - 1]
-                    rest ^= new
-                    todo |= new
-                    comp |= new
-                if comp & ~fit2:
-                    if comp & ~fit1:
-                        return None
-                    sums <<= comp.bit_count()
-                elif not comp & ~fit1:
-                    sums |= sums << comp.bit_count()
-            if not sums >> cmask[:s].count(0) & 1:
+            if _split(adj, und, fit1, fit2, cmask[:s].count(0)) is None:
                 return None
             # A cross pair with no edge, or a committed set that is not
             # connected, is dead.  Below the node where slack first hits zero
@@ -515,6 +499,148 @@ def _search(g: Graph, q: MinorQuery, within: int, budget: int | None) -> MinorSe
             stack.pop()
         else:
             return MinorSearch(SearchStatus.NOT_FOUND, None, nodes, 1)
+
+
+def _split(adj, und: int, fit1: int, fit2: int, e1: int) -> int | None:
+    """The exact zero-slack test: a set of e1 vertices of ``und``, all in
+    ``fit1``, whose complement in ``und`` lies in ``fit2`` and has a host
+    edge to each of them, or None when there is no such set.
+
+    Two vertices with no edge between them go to one side, so each component
+    of the complement of G[und] goes whole to a side it fits, and any such
+    placement has an edge across every pair.  A component that fits neither
+    side rules every split out.  Bit x of ``sums`` is set when x vertices of
+    the components that fit both sides can go to side 1; with the sums
+    before each such component kept, the split is read back from the last
+    one down."""
+    sums = 1
+    side1 = 0       # the components that fit side 1 only
+    both = []       # (component, sums before it) for those that fit both
+    rest = und
+    while rest:
+        comp = todo = rest & -rest
+        rest ^= comp
+        while todo:
+            u = todo & -todo
+            todo ^= u
+            new = rest & ~adj[u.bit_length() - 1]
+            rest ^= new
+            todo |= new
+            comp |= new
+        if comp & ~fit2:
+            if comp & ~fit1:
+                return None
+            side1 |= comp
+        elif not comp & ~fit1:
+            both.append((comp, sums))
+            sums |= sums << comp.bit_count()
+    x = e1 - side1.bit_count()
+    if x < 0 or not sums >> x & 1:
+        return None
+    for comp, before in reversed(both):
+        if not before >> x & 1:
+            side1 |= comp
+            x -= comp.bit_count()
+    return side1
+
+
+def _probe(g: Graph, q: MinorQuery, within: int) -> BranchModel | None:
+    """One contraction probe for a K_{s,t} model in the connected subgraph of
+    ``g`` induced by ``within``, which has at least s + t vertices: a model,
+    not yet verified, or None.
+
+    Super-vertices are named by a representative vertex and start as the
+    single vertices.  While more than s + t remain, the one of lowest degree
+    (lowest id on ties) is contracted into the neighbour it shares the
+    fewest neighbours with (ties by lower degree, then lower id).
+    Contracting uv lowers the circuit rank by |N(u) n N(v)|, so the rule
+    keeps as many cycles as one step can.  The s + t super-vertices left
+    then go through ``_split`` with every one fitting either side.  The
+    lowest degree is read from masks of the super-vertices of each degree,
+    as ``listcolor.find_l_coloring`` reads its ``exact`` masks, and a
+    contraction touches only the neighbours of the one contracted.  Their
+    number, the lowest degree, is at most the mean 2|E| / m with m
+    super-vertices left, so a probe costs O(|E| log |atom|) operations on
+    masks as wide as the host and never rescans every vertex."""
+    adj, alive, part = g.adj, within, {}
+    if within.bit_count() > q.s + q.t:
+        adj, alive, part = _contract(adj, within, q.s + q.t)
+    side1 = _split(adj, alive, alive, alive, q.s)
+    if side1 is None:
+        return None
+    sides: tuple[list, list] = ([], [])
+    for r in bits(alive):
+        sides[not side1 >> r & 1].append(frozenset(bits(part.get(r, 1 << r))))
+    return BranchModel(tuple(sorted(sides[0], key=min)),
+                       tuple(sorted(sides[1], key=min)), g)
+
+
+def _contract(adj, within: int, k: int) -> tuple[dict, int, dict]:
+    """``_probe``'s contractions of the connected subgraph induced by
+    ``within`` down to k super-vertices: their neighbour rows over
+    representatives, the mask of the representatives, and the vertices of
+    each super-vertex of more than one."""
+    nb = {}         # each super-vertex's neighbours, by representative
+    by_deg = [0] * within.bit_count()
+    rest = within
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        v = b.bit_length() - 1
+        nb[v] = row = adj[v] & within
+        by_deg[row.bit_count()] |= b
+    part = {}       # the vertices of each super-vertex of more than one
+    alive = within
+    # Contraction keeps the atom connected, so while more than k >= 4
+    # super-vertices are left none has degree 0, and a step lowers the least
+    # degree by at most one: common neighbours lose one, and the merged
+    # vertex keeps the other neighbours of the one contracted.
+    lo = 1
+    for _ in range(within.bit_count() - k):
+        while not by_deg[lo]:
+            lo += 1
+        vbit = by_deg[lo] & -by_deg[lo]
+        by_deg[lo] ^= vbit
+        v = vbit.bit_length() - 1
+        nv = nb.pop(v)
+        best = None
+        rest = nv
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            w = b.bit_length() - 1
+            row = nb[w]
+            key = ((row & nv).bit_count(), row.bit_count(), w)
+            if best is None or key < best:
+                best = key
+        u = best[2]
+        ubit = 1 << u
+        nu = nb[u]
+        common = nu & nv
+        only = nv & ~nu ^ ubit      # the neighbours of v that u gains
+        rest = only
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            nb[b.bit_length() - 1] ^= vbit | ubit
+        rest = common
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            w = b.bit_length() - 1
+            row = nb[w]
+            nb[w] = row ^ vbit
+            d = row.bit_count()
+            by_deg[d] ^= b
+            by_deg[d - 1] |= b
+        by_deg[nu.bit_count()] ^= ubit
+        nb[u] = nu = (nu | only) ^ vbit
+        by_deg[nu.bit_count()] |= ubit
+        part[u] = part.pop(u, ubit) | part.pop(v, vbit)
+        alive ^= vbit
+        if lo > 1:
+            lo -= 1
+    return nb, alive, part
 
 
 def _edges(adj, m: int) -> int:
@@ -767,6 +893,36 @@ def find_kst_minor(g: Graph, q: MinorQuery, budget: int | None = None) -> MinorS
     BUDGET_EXHAUSTED, and a budget below 1 raises ValueError.  A found model
     is re-verified on ``g``, and a model that fails raises RuntimeError.
 
+    For s >= 2, each atom that passes both filters first gets one
+    contraction probe (``_probe``), and ``_search`` runs only if it misses.
+    The probe contracts edges of the atom, each time the lowest-degree
+    super-vertex into the neighbour it shares the fewest neighbours with,
+    until s + t super-vertices remain, and splits those by the exact
+    zero-slack test that ``_search`` runs at its zero-slack nodes
+    (``_split``): each component of the complement goes whole to one side,
+    and some of the components must hold exactly s super-vertices.  The
+    rule is fixed and uses no randomness, so equal inputs give equal
+    reports.
+
+    Probe soundness.  A hit is a model: the super-vertices partition the
+    atom, so they are disjoint and non-empty; each is connected, as a
+    contraction joins two connected sets along an edge; two super-vertices
+    are adjacent exactly when a host edge joins them, and the split puts
+    two super-vertices with no edge between them on one side, so every
+    cross pair has a host edge.  The model goes through the same
+    re-verification as a search model.  A miss changes nothing: ``_search``
+    then runs on the atom as it would with no probe, with the same budget
+    left, and the atoms keep their order.  An atom with no model can only
+    miss, so a NOT_FOUND report, and every report in which no probe hits,
+    keeps its status, model, nodes and atom count.  The budget is untouched:
+    a probe is not a search node, takes nothing from ``budget`` and adds
+    nothing to ``nodes_expanded``, and it is polynomial work, at most
+    |atom| - s - t contractions that each touch the neighbours of the
+    super-vertex contracted, then one split test.  A hit reports the nodes
+    of the earlier atoms and counts its own atom as searched; where the
+    search of that atom would have run out of budget, it answers FOUND
+    instead of BUDGET_EXHAUSTED.
+
     For s >= 2, ``_search`` backtracks over branch sets inside an atom: it
     branches fail-first (fewest candidate sets, then highest degree in the
     atom, then lowest id) and opens new branch sets before joining existing
@@ -807,7 +963,12 @@ def find_kst_minor(g: Graph, q: MinorQuery, budget: int | None = None) -> MinorS
         if m.bit_count() < k or (s > 1 and _edges(adj, m) - m.bit_count() + 1 < need):
             continue
         left = None if budget is None else budget - nodes
-        res = _star_search(g, t, m, left) if s == 1 else _search(g, q, m, left)
+        if s == 1:
+            res = _star_search(g, t, m, left)
+        elif (model := _probe(g, q, m)) is not None:
+            res = MinorSearch(SearchStatus.FOUND, model, 0, 1)
+        else:
+            res = _search(g, q, m, left)
         nodes += res.nodes_expanded
         searched += 1
         if res.status is SearchStatus.BUDGET_EXHAUSTED:

@@ -58,8 +58,9 @@ def paths(tmp_path):
 def test_check_minor_exit_codes(paths, capsys):
     assert main(["check-minor", str(paths / "c4.txt"), "--s", "2", "--t", "2"]) == 0
     assert main(["check-minor", str(paths / "c4.txt"), "--s", "3", "--t", "3"]) == 1
+    # the contraction probe misses Petersen K_{3,4}, whose search takes 19 nodes
     assert main(["check-minor", str(paths / "petersen.txt"),
-                 "--s", "3", "--t", "3", "--budget", "5"]) == 2
+                 "--s", "3", "--t", "4", "--budget", "5"]) == 2
     capsys.readouterr()
 
 
@@ -293,8 +294,10 @@ C4_TXT = b"n=4 m=4\n0 1\n0 3\n1 2\n2 3\n"
 C4_JSON = (b'{"edges": [[0, 1], [0, 3], [1, 2], [2, 3]],\n"format_version": 1,\n'
            b'"labels": null,\n"vertex_count": 4}\n')
 C4_LISTS = b'{"lists": [\n[0, 1],\n[0, 1],\n[0, 1],\n[0, 1]]}\n'
+# The contraction probe finds this model before any search node; the search
+# alone took 6 nodes to the same model.
 C4_K22 = {"atoms_searched": 1, "model": {"side1": [[0], [2]], "side2": [[1], [3]]},
-          "nodes_expanded": 6, "status": "found"}
+          "nodes_expanded": 0, "status": "found"}
 C4_COLORED = {"colorable": True, "coloring": [0, 1, 0, 1]}
 BAD_BYTE = "kstlab: error: 'utf-8' codec can't decode byte 0xff in position %d: invalid start byte\n"
 LONG_COMMENT = b"#" + b"x" * 9000 + b"\n"
@@ -401,21 +404,39 @@ def test_internal_error_is_not_an_answer(paths, capsys, monkeypatch):
         assert capsys.readouterr().err == f"kstlab: internal error: {exc!r}\n"
 
 
-def test_invalid_search_model_is_an_internal_error(paths, capsys, monkeypatch):
-    # find_kst_minor re-verifies every model, so a search that returns a bad
-    # one is a fault (4), never a yes
-    import kstlab.minors as mn
+def _c4_non_model(g):
+    # In C4 = 0-1-2-3-0, 0 and 1 are both on side 1 and 0-2 is no edge.
+    return BranchModel((frozenset({0}), frozenset({1})),
+                       (frozenset({2}), frozenset({3})), g)
 
-    def bad_search(g, q, mask, budget):
-        model = BranchModel((frozenset({0}), frozenset({1})),
-                            (frozenset({2}), frozenset({3})), g)
-        return mn.MinorSearch(mn.SearchStatus.FOUND, model, 1, 1)
 
-    monkeypatch.setattr(mn, "_search", bad_search)
+def _assert_invalid_model_fault(paths, capsys):
     assert main(["check-minor", str(paths / "c4.txt"), "--s", "2", "--t", "2"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("kstlab: internal error: RuntimeError('search produced an "
                           "invalid model: ") and err.count("\n") == 1
+
+
+def test_invalid_search_model_is_an_internal_error(paths, capsys, monkeypatch):
+    # find_kst_minor re-verifies every model, so a search that returns a bad
+    # one is a fault (4), never a yes; the probe is patched to miss, so the
+    # search answers
+    import kstlab.minors as mn
+
+    def bad_search(g, q, mask, budget):
+        return mn.MinorSearch(mn.SearchStatus.FOUND, _c4_non_model(g), 1, 1)
+
+    monkeypatch.setattr(mn, "_probe", lambda g, q, mask: None)
+    monkeypatch.setattr(mn, "_search", bad_search)
+    _assert_invalid_model_fault(paths, capsys)
+
+
+def test_invalid_probe_model_is_an_internal_error(paths, capsys, monkeypatch):
+    # a probe hit goes through the same re-verification as a search model
+    import kstlab.minors as mn
+
+    monkeypatch.setattr(mn, "_probe", lambda g, q, mask: _c4_non_model(g))
+    _assert_invalid_model_fault(paths, capsys)
 
 
 # n meets float arithmetic in the edge probability and the failure exponents;

@@ -124,6 +124,15 @@ def test_edge_probability_closed_form():
     assert p.edge_probability(256) == pytest.approx(2 ** -0.5, rel=1e-15)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_edge_probability_refuses_n_below_1(n):
+    # n = -1 gave the complex number (0.98-0.195j) and n = 0 raised
+    # ZeroDivisionError; both are refused as the failure exponents refuse them.
+    p = GadgetParams.derive("1/2", 1)
+    with pytest.raises(ValueError, match=f"^the edge probability needs n >= 1, got n={n}$"):
+        p.edge_probability(n)
+
+
 def test_float_overflow_in_n_is_a_value_error_naming_n():
     p = GadgetParams(F(1, 2), F(1), 2, F(1, 16))
     past_float = 10 ** 400            # float(10**400) overflows

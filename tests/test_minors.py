@@ -18,6 +18,7 @@ import tracemalloc
 from fractions import Fraction as F
 from functools import lru_cache
 from math import factorial, prod
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,7 +49,9 @@ from kstlab.minors import (
     MinorQuery,
     MinorSearch,
     SearchStatus,
+    _probe,
     _search,
+    _split,
     _star_search,
     find_kst_minor,
     kst_atoms,
@@ -179,8 +182,10 @@ def test_single_edge_is_k11():
 
 
 def test_budget_exhaustion_and_monotonicity():
+    # The contraction probe misses Petersen K_{3,4}, so the search answers
+    # and the budget bites.
     g = petersen()
-    q = MinorQuery(3, 3)
+    q = MinorQuery(3, 4)
     full = find_kst_minor(g, q)
     assert full.status is SearchStatus.FOUND
     tiny = find_kst_minor(g, q, budget=1)
@@ -816,34 +821,42 @@ def _tiny_assembly(copies):
 def test_tiny_assemblies_answer_within_a_small_budget(copies, s, t):
     # The copies share a 2-clique, which does not split the host for s = 2,
     # and they are interchangeable: opening new branch sets first reaches a
-    # model before the search wanders among the copies.
+    # model before the search wanders among the copies.  The search is
+    # called directly, as find_kst_minor's contraction probe finds K_{2,2}
+    # here before any search node.
     g = _tiny_assembly(copies)
     assert g.n == 2 + 2 * copies
+    assert kst_atoms(g, s) == [tuple(range(g.n))]
     q = MinorQuery(s, t)
-    res = find_kst_minor(g, q, budget=1000)
+    res = _search(g, q, g.vertex_mask(), 1000)
     assert res.status is SearchStatus.FOUND
     assert model_violation(g, res.model, q) is None
 
 
-def test_invalid_model_raises_under_python_dash_o():
-    # The re-verification of a found model must not be an assert, which
-    # ``python -O`` strips.  Both procedures are patched: _search answers
-    # s >= 2 and _star_search answers s = 1.
+def _raises_under_python_dash_o(patches: str) -> None:
+    """Run ``find_kst_minor`` on C4 for K_{2,2} and K_{1,1} under ``python
+    -O`` with ``patches`` applied, and check that both calls raise the
+    invalid-model RuntimeError.  ``model(g, side1, side2)`` in the script
+    builds a model of singleton sets and ``found`` a FOUND result holding
+    one."""
     script = textwrap.dedent("""
         import sys
         from kstlab import minors
         from kstlab.graph import cycle
 
+        def model(g, side1, side2):
+            return minors.BranchModel(tuple(frozenset({v}) for v in side1),
+                                      tuple(frozenset({v}) for v in side2), g)
+
         def found(g, side1, side2):
-            model = minors.BranchModel(tuple(frozenset({v}) for v in side1),
-                                       tuple(frozenset({v}) for v in side2), g)
-            return minors.MinorSearch(minors.SearchStatus.FOUND, model, 1, 1)
+            return minors.MinorSearch(minors.SearchStatus.FOUND,
+                                      model(g, side1, side2), 1, 1)
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
         # In C4 = 0-1-2-3-0, 0 and 2 are not adjacent.
-        minors._search = lambda g, q, within, budget: found(g, (0, 1), (2, 3))
         minors._star_search = lambda g, t, within, budget: found(g, (0,), (2,))
+    """) + textwrap.dedent(patches) + textwrap.dedent("""
         for q in (minors.MinorQuery(2, 2), minors.MinorQuery(1, 1)):
             try:
                 minors.find_kst_minor(cycle(4), q)
@@ -859,6 +872,23 @@ def test_invalid_model_raises_under_python_dash_o():
     lines = proc.stdout.splitlines()
     assert len(lines) == 2, proc.stdout
     assert all(line.startswith("raised: search produced an invalid model") for line in lines)
+
+
+def test_invalid_model_raises_under_python_dash_o():
+    # The re-verification of a found model must not be an assert, which
+    # ``python -O`` strips.  The procedures that answer are patched: _search
+    # (behind a probe that misses) for s >= 2 and _star_search for s = 1.
+    _raises_under_python_dash_o("""
+        minors._probe = lambda g, q, within: None
+        minors._search = lambda g, q, within, budget: found(g, (0, 1), (2, 3))
+    """)
+
+
+def test_invalid_probe_model_raises_under_python_dash_o():
+    # A probe hit goes through the same re-verification as a search model.
+    _raises_under_python_dash_o("""
+        minors._probe = lambda g, q, within: model(g, (0, 1), (2, 3))
+    """)
 
 
 # --- K_{1,t}: connected centre sets ----------------------------------------
@@ -1354,20 +1384,25 @@ def test_rank_prune_drops_sets_split_by_an_unused_vertex():
 def test_rank_prune_on_petersen(s, t, status, nodes, without):
     g = petersen()
     q = MinorQuery(s, t)
-    res = find_kst_minor(g, q)
+    res = _search(g, q, g.vertex_mask(), None)
     assert (res.status, res.nodes_expanded) == (status, nodes)
     old = _search_reference(g, q, g.vertex_mask(), None, rank=False)
     assert (old.status, old.model, old.nodes_expanded) == (status, res.model, without)
+    # The contraction probe finds K_{3,3} before any search node; it misses
+    # K_{3,4}, and K_{2,5} has no model to find.
+    full = find_kst_minor(g, q)
+    assert (full.status, full.nodes_expanded) == (status, 0 if (s, t) == (3, 3) else nodes)
 
 
 def test_rank_prune_finds_k22_on_a_long_cycle():
     # Without the rule, K_{2,2} on a 200-vertex cycle used up 300,000 nodes:
     # the search grew sets around the cycle and left the rest unused at
     # every depth.  A cycle has circuit rank 1, so once a vertex goes unused
-    # the rest is a path and the subtree is dead.
+    # the rest is a path and the subtree is dead.  The search is called
+    # directly: find_kst_minor's contraction probe answers this at 0 nodes.
     g = cycle(200)
     q = MinorQuery(2, 2)
-    res = find_kst_minor(g, q, budget=1_000)
+    res = _search(g, q, g.vertex_mask(), 1_000)
     assert res.status is SearchStatus.FOUND
     assert model_violation(g, res.model, q) is None
 
@@ -1393,3 +1428,90 @@ def test_rank_filter_skips_atoms_at_zero_nodes():
     res = find_kst_minor(theta, q)
     assert (res.status, res.nodes_expanded, res.atoms_searched) == (SearchStatus.NOT_FOUND, 0, 0)
     assert find_kst_minor(Graph.from_edges(8, [*ring, (0, 4), (2, 6)]), q).atoms_searched == 1
+
+
+# --- contraction probe against the search without it ---------------------------
+
+
+@settings(max_examples=300)
+@given(st.one_of(graphs(min_n=1, max_n=9), sparse_graphs(min_n=1, max_n=9)), st.data())
+def test_probe_keeps_statuses_and_the_reports_it_misses(g, data):
+    s = data.draw(st.integers(2, 4))
+    t = data.draw(st.integers(s, max(s, 9 - s)))
+    q = MinorQuery(s, t)
+    hits = []
+
+    def probe(host, query, within):
+        model = _probe(host, query, within)
+        if model is not None:
+            hits.append(model)
+        return model
+
+    with mock.patch.object(minors, "_probe", probe):
+        got = find_kst_minor(g, q)
+    with mock.patch.object(minors, "_probe", lambda host, query, within: None):
+        want = find_kst_minor(g, q)
+    assert got.status is want.status, (g.adj, q)
+    for model in hits:
+        assert model_violation(g, model, q) is None, (g.adj, q)
+    if hits:
+        # the first hit answers, from the atom the search answers from
+        assert len(hits) == 1 and got.model == hits[0]
+        assert got.nodes_expanded <= want.nodes_expanded
+        assert got.atoms_searched == want.atoms_searched
+    else:
+        assert got == want, (g.adj, q)
+    if g.n <= 8:
+        found = got.status is SearchStatus.FOUND
+        assert found == oracle_has_minor(g, complete_bipartite(s, t)), (g.adj, q)
+
+
+@pytest.mark.parametrize("g, s, t", [
+    (cycle(4), 2, 2),
+    (petersen(), 2, 3),
+    (petersen(), 3, 3),
+    (cycle(200), 2, 2),
+], ids=["c4-k22", "petersen-k23", "petersen-k33", "cycle200-k22"])
+def test_probe_hits_at_zero_nodes(g, s, t):
+    q = MinorQuery(s, t)
+    assert _probe(g, q, g.vertex_mask()) is not None
+    res = find_kst_minor(g, q)
+    assert (res.status, res.nodes_expanded, res.atoms_searched) == (SearchStatus.FOUND, 0, 1)
+    assert model_violation(g, res.model, q) is None
+
+
+@pytest.mark.parametrize("s, t, nodes", [(2, 4, 964), (3, 4, 19)])
+def test_probe_misses_keep_their_counts(s, t, nodes):
+    g = petersen()
+    q = MinorQuery(s, t)
+    assert _probe(g, q, g.vertex_mask()) is None
+    res = find_kst_minor(g, q)
+    assert res == _search(g, q, g.vertex_mask(), None)
+    assert (res.status, res.nodes_expanded) == (SearchStatus.FOUND, nodes)
+
+
+def test_probe_hit_answers_past_an_exhausted_budget():
+    # A probe takes nothing from the budget: Petersen K_{3,3} is found at a
+    # budget of 1, where the search alone runs out.
+    g = petersen()
+    q = MinorQuery(3, 3)
+    assert _search(g, q, g.vertex_mask(), 1).status is SearchStatus.BUDGET_EXHAUSTED
+    res = find_kst_minor(g, q, budget=1)
+    assert (res.status, res.nodes_expanded) == (SearchStatus.FOUND, 0)
+
+
+@given(graphs(min_n=1, max_n=8), st.data())
+def test_split_returns_a_split_exactly_when_one_exists(g, data):
+    # _split against the pairwise reference: when it returns a set, that set
+    # is a valid split; when it returns None, the reference finds none.
+    und = data.draw(st.integers(0, g.vertex_mask()))
+    fit1 = und & data.draw(st.sampled_from([g.vertex_mask(), data.draw(st.integers(0, und))]))
+    fit2 = und & data.draw(st.sampled_from([g.vertex_mask(), data.draw(st.integers(0, und))]))
+    e1 = data.draw(st.integers(0, und.bit_count()))
+    side1 = _split(g.adj, und, fit1, fit2, e1)
+    assert (side1 is not None) == _zero_slack_split(g.adj, und, fit1, fit2, e1)
+    if side1 is not None:
+        side2 = und & ~side1
+        assert side1 & ~und == 0 and side1.bit_count() == e1
+        assert side1 & ~fit1 == 0 and side2 & ~fit2 == 0
+        assert all(g.adj[u] >> v & 1 for u in bits(side1) for v in bits(side2))
